@@ -420,11 +420,17 @@ pub fn chaos_kernel_config(cfg: &ChaosConfig) -> KernelConfig {
 /// callers wanting a structured failure use [`chaos_report`].
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     let mut step_out = 0u32;
-    run_chaos_tracked(cfg, &mut step_out)
+    run_chaos_tracked(cfg, chaos_kernel_config(cfg), |_| {}, &mut step_out)
 }
 
-fn run_chaos_tracked(cfg: &ChaosConfig, at_step: &mut u32) -> ChaosOutcome {
-    let mut k = Kernel::boot(MachineConfig::ppc604_185(), chaos_kernel_config(cfg));
+fn run_chaos_tracked(
+    cfg: &ChaosConfig,
+    kcfg: KernelConfig,
+    setup: impl FnOnce(&mut Kernel),
+    at_step: &mut u32,
+) -> ChaosOutcome {
+    let mut k = Kernel::boot(MachineConfig::ppc604_185(), kcfg);
+    setup(&mut k);
     let bin = k.create_file(8 * PAGE).expect("binary page cache");
     // Conservation baseline: general-pool frames free after the page cache
     // is populated, and page-table pages free after boot. Pipe ring buffers
@@ -487,8 +493,21 @@ fn resident_cache(k: &Kernel) -> usize {
 /// Runs a chaos program, converting any panic into a [`ChaosFailure`] with
 /// the minimal failing prefix (the step the violation surfaced at).
 pub fn chaos_report(cfg: &ChaosConfig) -> Result<ChaosOutcome, Box<ChaosFailure>> {
+    chaos_report_with(cfg, chaos_kernel_config(cfg), |_| {})
+}
+
+/// [`chaos_report`] on a caller-chosen kernel configuration, with `setup`
+/// applied to the booted kernel before the first step (the fused-path
+/// identity tests vary `fused` and arm the planted stale-TLB bug here).
+pub fn chaos_report_with(
+    cfg: &ChaosConfig,
+    kcfg: KernelConfig,
+    setup: impl FnOnce(&mut Kernel),
+) -> Result<ChaosOutcome, Box<ChaosFailure>> {
     let mut at_step = 0u32;
-    let result = catch_unwind(AssertUnwindSafe(|| run_chaos_tracked(cfg, &mut at_step)));
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        run_chaos_tracked(cfg, kcfg, setup, &mut at_step)
+    }));
     result.map_err(|e| {
         let message = e
             .downcast_ref::<String>()
@@ -499,7 +518,7 @@ pub fn chaos_report(cfg: &ChaosConfig) -> Result<ChaosOutcome, Box<ChaosFailure>
             seed: cfg.seed,
             step: at_step,
             message,
-            config: chaos_kernel_config(cfg).summary(),
+            config: kcfg.summary(),
         })
     })
 }

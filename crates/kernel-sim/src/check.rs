@@ -24,12 +24,15 @@
 //! `Machine::charge`, never touches TLB/cache replacement state, and reads
 //! MMU structures only through the read-only sweep accessors).
 
-use ppc_machine::Cycles;
-use ppc_mmu::addr::{EffectiveAddress, PhysAddr, VirtualAddress};
+use ppc_machine::{Cycles, FusedHit, Machine};
+use ppc_mmu::addr::{EffectiveAddress, VirtualAddress};
+use ppc_mmu::htab::PTES_PER_GROUP;
 use ppc_mmu::pte::Pte;
-use ppc_mmu::translate::AccessType;
+use ppc_mmu::tlb::TlbEntry;
+use ppc_mmu::translate::{AccessType, Translation};
 
 use crate::hostprof;
+use crate::kconfig::KernelConfig;
 use crate::kernel::Kernel;
 use crate::layout::{is_io, is_kernel_linear, kva_to_pa};
 use crate::oracle::{ShadowEntry, ShadowMm};
@@ -81,9 +84,6 @@ pub struct CheckState {
     next_boundary: Cycles,
     /// Highest VSID-allocator generation seen (must never decrease).
     last_generation: u32,
-    /// Scratch for the heavy sweep's occupancy histogram, reused across
-    /// epochs so the sweep only allocates when the hash table grows.
-    hist_scratch: Vec<u8>,
 }
 
 impl CheckState {
@@ -97,37 +97,92 @@ impl CheckState {
             heavy_sweeps: 0,
             next_boundary: cfg.epoch_cycles.max(1),
             last_generation: 0,
-            hist_scratch: Vec::new(),
         }
+    }
+
+    /// Audits one positive BAT/TLB observation — the one audit both the
+    /// layered translate loop and the fused path's hook call, at the same
+    /// point of the access (translation committed, cache not yet touched).
+    ///
+    /// A TLB hit is cross-checked against the oracle. A BAT match must fall
+    /// in the kernel linear map (identity minus the virtual base, cacheable)
+    /// or the I/O aperture (identity, cache-inhibited).
+    pub(crate) fn audit_hit(
+        &mut self,
+        cfg: &KernelConfig,
+        m: &Machine,
+        ea: EffectiveAddress,
+        at: AccessType,
+        hit: FusedHit,
+    ) {
+        match hit {
+            FusedHit::Bat { pa, cached } => {
+                let ok = if is_kernel_linear(ea) {
+                    pa == kva_to_pa(ea) && cached
+                } else if is_io(ea) {
+                    pa == ea.0 && !cached
+                } else {
+                    false
+                };
+                if !ok {
+                    violation(
+                        cfg,
+                        m.cycles,
+                        &format!(
+                            "BAT match for ea={:#x} -> pa={pa:#x} cached={cached} is \
+                             outside the linear-map and I/O apertures (or mistranslated)",
+                            ea.0
+                        ),
+                    );
+                }
+            }
+            FusedHit::Tlb { entry: e } => {
+                let _host = hostprof::span(hostprof::HostPhase::Checker);
+                if self.cfg.oracle {
+                    let side = if at.is_data() { "dtlb" } else { "itlb" };
+                    if let Some(v) = self.oracle.check_observation(
+                        format_args!("{side} hit for ea={:#x}", ea.0),
+                        e.vsid,
+                        e.page_index,
+                        e.rpn,
+                        e.writable,
+                        e.cached,
+                    ) {
+                        violation(cfg, m.cycles, &v);
+                    }
+                }
+            }
+        }
+        self.checked_observations += 1;
     }
 }
 
-impl Kernel {
-    /// One-line context for violation messages: the exact config summary and
-    /// injector seed, so any panic is a one-command repro
-    /// (`repro chaos --seed N`).
-    fn check_context(&self) -> String {
-        let seed = match self.cfg.fault_injection {
-            Some(fi) => fi.seed.to_string(),
-            None => "none".to_string(),
-        };
-        format!(
-            "seed={seed} cycle={} config: {}",
-            self.machine.cycles,
-            self.cfg.summary()
-        )
-    }
+/// Reports a checker violation, with the exact config summary and injector
+/// seed as one-line context so any panic is a one-command repro
+/// (`repro chaos --seed N`).
+///
+/// # Panics
+///
+/// Always — panicking is the reporting mechanism. A violation means the
+/// simulated MM state diverged from the oracle, so no `KResult` can be
+/// trusted past this point; the adversarial driver catches the unwind and
+/// prints the minimized repro.
+fn violation(cfg: &KernelConfig, cycle: Cycles, msg: &str) -> ! {
+    let seed = match cfg.fault_injection {
+        Some(fi) => fi.seed.to_string(),
+        None => "none".to_string(),
+    };
+    panic!(
+        "MM check violation: {msg}\n  [seed={seed} cycle={cycle} config: {}]",
+        cfg.summary()
+    );
+}
 
-    /// Reports a checker violation.
-    ///
-    /// # Panics
-    ///
-    /// Always — panicking is the reporting mechanism. A violation means the
-    /// simulated MM state diverged from the oracle, so no `KResult` can be
-    /// trusted past this point; the adversarial driver catches the unwind
-    /// and prints the minimized repro.
+impl Kernel {
+    /// Reports a checker violation at the current cycle (see
+    /// [`violation`]).
     fn check_fail(&self, msg: &str) -> ! {
-        panic!("MM check violation: {msg}\n  [{}]", self.check_context());
+        violation(&self.cfg, self.machine.cycles, msg)
     }
 
     /// The span-transition hook: a single branch when checking is off.
@@ -162,7 +217,7 @@ impl Kernel {
                 c.next_boundary += c.cfg.epoch_cycles.max(1);
             }
             c.heavy_sweeps += 1;
-            if let Some(v) = self.heavy_sweep_violation(&mut c) {
+            if let Some(v) = self.heavy_sweep_violation(&c) {
                 self.check = Some(c);
                 self.check_fail(&v);
             }
@@ -178,7 +233,7 @@ impl Kernel {
         };
         let _host = hostprof::span(hostprof::HostPhase::Checker);
         c.heavy_sweeps += 1;
-        if let Some(v) = self.heavy_sweep_violation(&mut c) {
+        if let Some(v) = self.heavy_sweep_violation(&c) {
             self.check = Some(c);
             self.check_fail(&v);
         }
@@ -284,13 +339,20 @@ impl Kernel {
 
     /// The heavy epoch sweep: containment of resident translations in the
     /// oracle, and hash-table structural self-consistency.
-    fn heavy_sweep_violation(&self, c: &mut CheckState) -> Option<String> {
-        if c.cfg.oracle {
-            // Every resident TLB entry under a live VSID must still be
-            // legal. (Zombie entries — retired VSIDs — are exactly what
-            // lazy flushing leaves behind; they can never match and are
-            // exempt.)
-            let live = |v| self.vsids.is_live(v);
+    ///
+    /// The hash table is walked once: each valid entry gets its residency
+    /// and placement checks and feeds the occupancy totals. Each kind keeps
+    /// its first violation in table order, and the kinds are reported in a
+    /// fixed order — TLB residency, htab residency, placement, occupancy —
+    /// so the message is the one a pass per check would have produced.
+    fn heavy_sweep_violation(&self, c: &CheckState) -> Option<String> {
+        let (oracle, invariants) = (c.cfg.oracle, c.cfg.invariants);
+        // Zombie entries — retired VSIDs — are exactly what lazy flushing
+        // leaves behind; they can never match and are exempt from
+        // residency.
+        let live = |v| self.vsids.is_live(v);
+        if oracle {
+            // Every resident TLB entry under a live VSID must still be legal.
             let tlbs = [
                 ("itlb", &self.machine.mmu.itlb),
                 ("dtlb", &self.machine.mmu.dtlb),
@@ -309,62 +371,78 @@ impl Kernel {
                     }
                 }
             }
-            // Same containment for live hash-table entries.
-            for (_, _, pte) in self.htab.entries().filter(|(_, _, p)| live(p.vsid)) {
-                if let Some(v) = c.oracle.check_observation(
-                    "htab residency sweep",
-                    pte.vsid,
-                    pte.page_index,
-                    pte.rpn,
-                    pte.pp == 2,
-                    !pte.cache_inhibited,
-                ) {
-                    return Some(v);
-                }
-            }
         }
-        if c.cfg.invariants {
-            // PTEG placement: every valid entry sits in the group its hash
-            // (primary or secondary, per its H bit) selects — the invariant
-            // a botched mid-run rehash would break.
-            let hash = self.htab.hash();
-            for (g, s, pte) in self.htab.entries() {
-                let expect = hash.pteg_index(pte.vsid, pte.page_index, pte.secondary);
-                if expect != g {
-                    return Some(format!(
-                        "htab placement: vsid={:#x} page={:#x} (secondary={}) \
-                         found in group {g} slot {s}, hash says group {expect}",
-                        pte.vsid.raw(),
+        if !oracle && !invariants {
+            return None;
+        }
+        let hash = self.htab.hash();
+        let groups = self.htab.groups();
+        let mut placement = None;
+        let (mut sum, mut full) = (0u32, 0u32);
+        for (g, group) in groups.iter().enumerate() {
+            let g = g as u32;
+            let mut valid = 0;
+            for (s, pte) in group.iter().enumerate().filter(|(_, p)| p.valid) {
+                valid += 1;
+                // Residency reports first, so its first violation ends the
+                // walk.
+                if oracle && live(pte.vsid) {
+                    if let Some(v) = c.oracle.check_observation(
+                        "htab residency sweep",
+                        pte.vsid,
                         pte.page_index,
-                        pte.secondary
-                    ));
+                        pte.rpn,
+                        pte.pp == 2,
+                        !pte.cache_inhibited,
+                    ) {
+                        return Some(v);
+                    }
+                }
+                // PTEG placement: every valid entry sits in the group its
+                // hash (primary or secondary, per its H bit) selects — the
+                // invariant a botched mid-run rehash would break.
+                if invariants && placement.is_none() {
+                    let expect = hash.pteg_index(pte.vsid, pte.page_index, pte.secondary);
+                    if expect != g {
+                        placement = Some(format!(
+                            "htab placement: vsid={:#x} page={:#x} (secondary={}) \
+                             found in group {g} slot {s}, hash says group {expect}",
+                            pte.vsid.raw(),
+                            pte.page_index,
+                            pte.secondary
+                        ));
+                    }
                 }
             }
-            // Occupancy summaries agree with the group contents.
-            self.htab.group_histogram_into(&mut c.hist_scratch);
-            let hist = &c.hist_scratch;
-            if hist.len() != self.htab.hash().num_groups() as usize {
-                return Some(format!(
-                    "htab occupancy: histogram covers {} groups, hash says {}",
-                    hist.len(),
-                    self.htab.hash().num_groups()
-                ));
-            }
-            let sum: u32 = hist.iter().map(|&c| u32::from(c)).sum();
-            if sum != self.htab.valid_entries() {
-                return Some(format!(
-                    "htab occupancy: histogram sums to {sum}, valid_entries says {}",
-                    self.htab.valid_entries()
-                ));
-            }
-            let full = hist.iter().filter(|&&c| c as usize == 8).count() as u32;
-            if full != self.htab.full_groups() {
-                return Some(format!(
-                    "htab occupancy: histogram counts {full} full groups, \
-                     full_groups says {}",
-                    self.htab.full_groups()
-                ));
-            }
+            sum += valid;
+            full += u32::from(valid as usize == PTES_PER_GROUP);
+        }
+        if !invariants {
+            return None;
+        }
+        if placement.is_some() {
+            return placement;
+        }
+        // Occupancy summaries agree with the group contents.
+        if groups.len() != hash.num_groups() as usize {
+            return Some(format!(
+                "htab occupancy: histogram covers {} groups, hash says {}",
+                groups.len(),
+                hash.num_groups()
+            ));
+        }
+        if sum != self.htab.valid_entries() {
+            return Some(format!(
+                "htab occupancy: histogram sums to {sum}, valid_entries says {}",
+                self.htab.valid_entries()
+            ));
+        }
+        if full != self.htab.full_groups() {
+            return Some(format!(
+                "htab occupancy: histogram counts {full} full groups, \
+                 full_groups says {}",
+                self.htab.full_groups()
+            ));
         }
         None
     }
@@ -420,50 +498,87 @@ impl Kernel {
 
     // ---- positive-observation cross-checks --------------------------------
 
-    /// Cross-checks a TLB hit for `ea` against the oracle.
+    /// [`Machine::fused_data_ref`] with its hit audited. Out of line, so
+    /// the unchecked [`Kernel::data_ref`] keeps its size, and with it the
+    /// compiler's inlining decisions around the hot path.
+    #[inline(never)]
+    pub(crate) fn audited_data_ref(&mut self, ea: EffectiveAddress, write: bool) -> Option<Cycles> {
+        let c = self.check.as_deref_mut()?;
+        let at = if write {
+            AccessType::DataWrite
+        } else {
+            AccessType::DataRead
+        };
+        let cfg = &self.cfg;
+        self.machine
+            .fused_data_ref(ea, write, |m, hit| c.audit_hit(cfg, m, ea, at, hit))
+    }
+
+    /// [`Machine::fused_exec_code`] with its hit audited (see
+    /// [`Kernel::audited_data_ref`]).
+    #[inline(never)]
+    pub(crate) fn audited_exec_code(
+        &mut self,
+        ea: EffectiveAddress,
+        n_insns: u32,
+    ) -> Option<Cycles> {
+        let c = self.check.as_deref_mut()?;
+        let cfg = &self.cfg;
+        self.machine.fused_exec_code(ea, n_insns, |m, hit| {
+            c.audit_hit(cfg, m, ea, AccessType::InsnFetch, hit)
+        })
+    }
+
+    /// Audits a BAT match or TLB hit the layered translate loop observed:
+    /// hands [`CheckState::audit_hit`] the hit the fused path would have
+    /// reported. A single branch when checking is off.
     #[inline]
-    pub(crate) fn check_on_tlb_hit(
+    pub(crate) fn check_on_translation(
         &mut self,
         ea: EffectiveAddress,
         at: AccessType,
-        pa: PhysAddr,
-        cached: bool,
-        writable: bool,
+        t: Translation,
     ) {
-        if self.check.is_none() {
+        if self.check.is_some() {
+            self.audit_translation(ea, at, t);
+        }
+    }
+
+    /// The cold half of [`Kernel::check_on_translation`].
+    fn audit_translation(&mut self, ea: EffectiveAddress, at: AccessType, t: Translation) {
+        let Some(c) = self.check.as_deref_mut() else {
             return;
-        }
-        let _host = hostprof::span(hostprof::HostPhase::Checker);
-        let Some(c) = self.check.take() else { return };
-        if c.cfg.oracle {
-            let va = self.machine.mmu.segments.translate(ea);
-            let side = if at.is_data() { "dtlb" } else { "itlb" };
-            if let Some(v) = c.oracle.check_observation(
-                format_args!("{side} hit for ea={:#x}", ea.0),
-                va.vsid,
-                va.page_index,
-                pa >> 12,
-                writable,
+        };
+        let hit = match t {
+            Translation::Bat { pa, cached } => FusedHit::Bat { pa, cached },
+            Translation::TlbHit {
+                pa,
                 cached,
-            ) {
-                self.check = Some(c);
-                self.check_fail(&v);
+                writable,
+            } => {
+                let va = self.machine.mmu.segments.translate(ea);
+                FusedHit::Tlb {
+                    entry: TlbEntry {
+                        vsid: va.vsid,
+                        page_index: va.page_index,
+                        rpn: pa >> 12,
+                        cached,
+                        writable,
+                    },
+                }
             }
-        }
-        self.check = Some(c);
-        if let Some(c) = self.check.as_mut() {
-            c.checked_observations += 1;
-        }
+            Translation::TlbMiss { .. } => return,
+        };
+        c.audit_hit(&self.cfg, &self.machine, ea, at, hit);
     }
 
     /// Cross-checks a hash-table hit against the oracle.
     #[inline]
     pub(crate) fn check_on_htab_hit(&mut self, va: VirtualAddress, pte: &Pte) {
-        if self.check.is_none() {
+        let Some(c) = self.check.as_deref_mut() else {
             return;
-        }
+        };
         let _host = hostprof::span(hostprof::HostPhase::Checker);
-        let Some(c) = self.check.take() else { return };
         if c.cfg.oracle {
             if let Some(v) = c.oracle.check_observation(
                 "htab hit",
@@ -473,41 +588,10 @@ impl Kernel {
                 pte.pp == 2,
                 !pte.cache_inhibited,
             ) {
-                self.check = Some(c);
-                self.check_fail(&v);
+                violation(&self.cfg, self.machine.cycles, &v);
             }
         }
-        self.check = Some(c);
-        if let Some(c) = self.check.as_mut() {
-            c.checked_observations += 1;
-        }
-    }
-
-    /// Cross-checks a BAT match: BATs cover exactly the kernel linear map
-    /// (identity minus the virtual base, cacheable) and the I/O aperture
-    /// (identity, cache-inhibited).
-    #[inline]
-    pub(crate) fn check_on_bat_hit(&mut self, ea: EffectiveAddress, pa: PhysAddr, cached: bool) {
-        if self.check.is_none() {
-            return;
-        }
-        let ok = if is_kernel_linear(ea) {
-            pa == kva_to_pa(ea) && cached
-        } else if is_io(ea) {
-            pa == ea.0 && !cached
-        } else {
-            false
-        };
-        if !ok {
-            self.check_fail(&format!(
-                "BAT match for ea={:#x} -> pa={pa:#x} cached={cached} is outside \
-                 the linear-map and I/O apertures (or mistranslated)",
-                ea.0
-            ));
-        }
-        if let Some(c) = self.check.as_mut() {
-            c.checked_observations += 1;
-        }
+        c.checked_observations += 1;
     }
 
     // ---- scheduler-mutation bracketing ------------------------------------

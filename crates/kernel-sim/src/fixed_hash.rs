@@ -45,9 +45,6 @@ pub type DetBuildHasher = BuildHasherDefault<FnvHasher>;
 /// `HashMap` with process-independent hashing (construct with `default()`).
 pub type DetHashMap<K, V> = std::collections::HashMap<K, V, DetBuildHasher>;
 
-/// `HashSet` with process-independent hashing (construct with `default()`).
-pub type DetHashSet<T> = std::collections::HashSet<T, DetBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;

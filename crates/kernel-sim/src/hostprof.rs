@@ -343,6 +343,25 @@ impl Drop for HostSpan {
 /// every allocation/free to the calling thread's current phase while armed.
 pub struct CountingAlloc;
 
+#[cfg(test)]
+thread_local! {
+    // Unit tests share this process with every other test libtest runs
+    // concurrently, and the allocator is global: in test builds only the
+    // thread inside an armed test section (see the tests below) is counted,
+    // so concurrent simulations cannot move the section's ledger.
+    static COUNTED_THREAD: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether allocations on the calling thread are counted while armed:
+/// always, outside this crate's unit tests.
+#[inline]
+fn counted_thread() -> bool {
+    #[cfg(test)]
+    return COUNTED_THREAD.try_with(Cell::get).unwrap_or(false);
+    #[cfg(not(test))]
+    true
+}
+
 fn note_alloc(size: usize) {
     let idx = CUR_PHASE
         .try_with(|c| c.get() as usize)
@@ -370,7 +389,7 @@ fn note_free(size: usize) {
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
-        if !p.is_null() && ARMED.load(Relaxed) {
+        if !p.is_null() && ARMED.load(Relaxed) && counted_thread() {
             note_alloc(layout.size());
         }
         p
@@ -378,14 +397,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
-        if ARMED.load(Relaxed) {
+        if ARMED.load(Relaxed) && counted_thread() {
             note_free(layout.size());
         }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc_zeroed(layout);
-        if !p.is_null() && ARMED.load(Relaxed) {
+        if !p.is_null() && ARMED.load(Relaxed) && counted_thread() {
             note_alloc(layout.size());
         }
         p
@@ -393,7 +412,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() && ARMED.load(Relaxed) {
+        if !p.is_null() && ARMED.load(Relaxed) && counted_thread() {
             // Accounted as a free of the old block plus an allocation of the
             // new one, whatever the system allocator did underneath.
             note_free(layout.size());
@@ -521,10 +540,39 @@ impl HostSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
 
     // Tests that arm the global profiler must not interleave.
     static ARM_LOCK: Mutex<()> = Mutex::new(());
+
+    /// One test's exclusive window on the global profiler: holds the arm
+    /// lock (a failed test poisons nothing for the next), counts only this
+    /// thread's allocations, starts from zeroed counters, and disarms on
+    /// drop — even when an assertion unwinds.
+    struct ArmedSection {
+        _lock: MutexGuard<'static, ()>,
+    }
+
+    impl ArmedSection {
+        fn new(armed: bool) -> Self {
+            let lock = ARM_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+            COUNTED_THREAD.with(|c| c.set(true));
+            if armed {
+                arm();
+            } else {
+                disarm();
+            }
+            reset();
+            Self { _lock: lock }
+        }
+    }
+
+    impl Drop for ArmedSection {
+        fn drop(&mut self) {
+            disarm();
+            COUNTED_THREAD.with(|c| c.set(false));
+        }
+    }
 
     #[test]
     fn phase_ids_agree_across_the_stack() {
@@ -550,9 +598,7 @@ mod tests {
 
     #[test]
     fn dormant_spans_and_allocs_count_nothing() {
-        let _g = ARM_LOCK.lock().unwrap();
-        disarm();
-        reset();
+        let _g = ArmedSection::new(false);
         let before = snapshot();
         {
             let _s = span(HostPhase::Translate);
@@ -565,9 +611,7 @@ mod tests {
 
     #[test]
     fn armed_spans_attribute_allocations_to_the_phase() {
-        let _g = ARM_LOCK.lock().unwrap();
-        arm();
-        reset();
+        let _g = ArmedSection::new(true);
         let before = snapshot();
         {
             let _s = span(HostPhase::Driver);
@@ -585,9 +629,7 @@ mod tests {
 
     #[test]
     fn spans_nest_and_restore_the_previous_phase() {
-        let _g = ARM_LOCK.lock().unwrap();
-        arm();
-        reset();
+        let _g = ArmedSection::new(true);
         let before = snapshot();
         {
             let _outer = span(HostPhase::Driver);
@@ -605,7 +647,7 @@ mod tests {
         // Driver counts are exact: only these tests (serialized by the arm
         // lock) ever open Driver spans in this process. Translate counts are
         // `>=`: while armed, a concurrently running simulation test in this
-        // binary legitimately reports its own translate spans/allocs.
+        // binary legitimately reports its own translate spans.
         assert_eq!(d.phases[HostPhase::Driver as usize].spans, 1);
         assert!(d.phases[HostPhase::Translate as usize].spans >= 1);
         assert!(d.phases[HostPhase::Translate as usize].allocs >= 1);
@@ -617,9 +659,7 @@ mod tests {
 
     #[test]
     fn leaf_crate_hooks_report_here_when_armed() {
-        let _g = ARM_LOCK.lock().unwrap();
-        arm();
-        reset();
+        let _g = ArmedSection::new(true);
         let before = snapshot();
         {
             let _s = ppc_mmu::host::span(ppc_mmu::host::PHASE_TRANSLATE);
@@ -639,9 +679,7 @@ mod tests {
 
     #[test]
     fn bulk_hook_adds_exact_span_counts() {
-        let _g = ARM_LOCK.lock().unwrap();
-        disarm();
-        reset();
+        let _g = ArmedSection::new(false);
         // Dormant, the leaf-crate entry point is a no-op...
         let before = snapshot();
         ppc_mmu::host::bulk(3, 2, 1);
@@ -658,9 +696,7 @@ mod tests {
 
     #[test]
     fn peak_live_tracks_a_big_transient() {
-        let _g = ARM_LOCK.lock().unwrap();
-        arm();
-        reset();
+        let _g = ArmedSection::new(true);
         reset_peak();
         let before = snapshot();
         {

@@ -900,9 +900,10 @@ impl Kernel {
         at: AccessType,
     ) -> KResult<(PhysAddr, bool)> {
         for _ in 0..8 {
-            match self.machine.mmu.translate(ea, at) {
+            let t = self.machine.mmu.translate(ea, at);
+            match t {
                 Translation::Bat { pa, cached } => {
-                    self.check_on_bat_hit(ea, pa, cached);
+                    self.check_on_translation(ea, at, t);
                     return Ok((pa, cached));
                 }
                 Translation::TlbHit {
@@ -912,7 +913,7 @@ impl Kernel {
                 } => {
                     // The hit itself is the observation the oracle audits —
                     // checked even when it is about to protection-fault.
-                    self.check_on_tlb_hit(ea, at, pa, cached, writable);
+                    self.check_on_translation(ea, at, t);
                     if at == AccessType::DataWrite && !writable {
                         // Store through a read-only translation: the
                         // protection fault that drives copy-on-write.
@@ -932,18 +933,25 @@ impl Kernel {
     }
 
     /// Whether the fused fast path may serve memory references: enabled in
-    /// the config and no checker armed (the oracle audits every BAT/TLB hit,
-    /// which requires the layered path). The causal charge scale is checked
-    /// *inside* the fused functions — it can flip mid-run.
+    /// the config. An armed checker audits fused hits through the fused
+    /// functions' hook. The causal charge scale is checked *inside* the
+    /// fused functions — it can flip mid-run.
     #[inline]
     fn fastpath_ok(&self) -> bool {
-        self.cfg.fused && self.check.is_none()
+        self.cfg.fused
     }
 
     /// One user/kernel data reference (a load or store of one word).
     pub fn data_ref(&mut self, ea: EffectiveAddress, write: bool) -> KResult<Cycles> {
         if self.fastpath_ok() {
-            if let Some(c) = self.machine.fused_data_ref(ea, write) {
+            // Unchecked runs pass the no-op hook and compile to the bare
+            // fused path.
+            let fused = if self.check.is_none() {
+                self.machine.fused_data_ref(ea, write, |_, _| {})
+            } else {
+                self.audited_data_ref(ea, write)
+            };
+            if let Some(c) = fused {
                 return Ok(c);
             }
         }
@@ -971,14 +979,16 @@ impl Kernel {
         while remaining > 0 {
             let page_end = (addr & !(PAGE_SIZE - 1)) + PAGE_SIZE;
             let insns_here = remaining.min((page_end - addr) / 4);
+            let ea = EffectiveAddress(addr);
             let fused = self.fastpath_ok()
-                && self
-                    .machine
-                    .fused_exec_code(EffectiveAddress(addr), insns_here)
-                    .is_some();
+                && if self.check.is_none() {
+                    self.machine.fused_exec_code(ea, insns_here, |_, _| {})
+                } else {
+                    self.audited_exec_code(ea, insns_here)
+                }
+                .is_some();
             if !fused {
-                let (pa, cached) =
-                    self.translate_ref(EffectiveAddress(addr), AccessType::InsnFetch)?;
+                let (pa, cached) = self.translate_ref(ea, AccessType::InsnFetch)?;
                 self.machine.exec_code_pa(pa, insns_here, cached);
             }
             addr = page_end;

@@ -2,6 +2,8 @@
 //! runtime invariants, and the zero-cost-when-off obligation.
 
 use ppc_machine::MachineConfig;
+use ppc_mmu::addr::Vsid;
+use ppc_mmu::pte::Pte;
 
 use crate::check::CheckConfig;
 use crate::inject::FaultInjection;
@@ -153,4 +155,77 @@ fn unoptimized_kernel_is_oracle_clean() {
     let c = k.check.as_ref().unwrap();
     assert!(c.checked_observations > 0);
     assert!(c.heavy_sweeps > 0);
+}
+
+/// The panic message of a checked run that must fail.
+fn violation_of(f: impl FnOnce()) -> String {
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .expect_err("planted corruption escaped the checker");
+    err.downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()).unwrap())
+}
+
+/// A checked kernel with one running task, plus a hash-table entry under a
+/// VSID no context owns (so residency exempts it) planted in group 0, where
+/// its hash does not put it.
+fn kernel_with_misplaced_entry() -> Kernel {
+    let mut k = Kernel::boot(
+        MachineConfig::ppc604_185(),
+        cfg_with(Some(CheckConfig::full()), None),
+    );
+    let a = k.spawn_process(8).unwrap();
+    k.switch_to(a);
+    k.user_write(USER_BASE, 8 * 4096).unwrap();
+    let mut pte = Pte::invalid();
+    pte.valid = true;
+    pte.vsid = Vsid::new(0x00ab_cdef);
+    pte.page_index = 0x1234;
+    pte.rpn = 0x55;
+    assert!(!k.vsids.is_live(pte.vsid));
+    assert_ne!(k.htab.hash().pteg_index(pte.vsid, pte.page_index, false), 0);
+    let group = &mut k.htab.groups_mut()[0];
+    let slot = group
+        .iter()
+        .position(|p| !p.valid)
+        .expect("group 0 has room");
+    group[slot] = pte;
+    k
+}
+
+#[test]
+fn heavy_sweep_catches_a_misplaced_entry() {
+    let msg = violation_of(|| kernel_with_misplaced_entry().check_finish());
+    assert!(
+        msg.starts_with(
+            "MM check violation: htab placement: vsid=0xabcdef page=0x1234 (secondary=false) \
+             found in group 0 slot"
+        ),
+        "{msg}"
+    );
+}
+
+#[test]
+fn heavy_sweep_reports_residency_before_an_earlier_misplacement() {
+    // The misplaced entry sits in group 0, ahead of the stale one in table
+    // order; residency still reports first, as when each check made its own
+    // pass over the table.
+    let mut k = kernel_with_misplaced_entry();
+    let vsid = k.cur().vsids[0].raw();
+    let mut pte = Pte::invalid();
+    pte.vsid = Vsid::new(vsid);
+    pte.page_index = 0xfff0;
+    pte.rpn = 0x42;
+    pte.pp = 2;
+    let (g, _) = k.htab.insert(pte).location;
+    assert_ne!(g, 0);
+    let msg = violation_of(move || k.check_finish());
+    assert!(
+        msg.starts_with(&format!(
+            "MM check violation: htab residency sweep observed a translation the \
+             oracle holds illegal (stale entry): vsid={vsid:#x} page=0xfff0 -> rpn=0x42 \
+             writable=true cached=true"
+        )),
+        "{msg}"
+    );
 }

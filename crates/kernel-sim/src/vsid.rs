@@ -2,8 +2,6 @@
 
 use ppc_mmu::addr::Vsid;
 
-use crate::fixed_hash::DetHashSet;
-
 use crate::kconfig::VsidPolicy;
 use crate::layout::USER_SEGMENTS;
 
@@ -36,6 +34,99 @@ pub struct VsidStats {
     pub contexts_retired: u64,
 }
 
+/// VSIDs covered by one leaf of [`LiveSet`].
+const LEAF_BITS: u32 = 4096;
+/// `u64` words per leaf (512 bytes).
+const WORDS: usize = LEAF_BITS as usize / 64;
+/// Leaves covering the whole 24-bit VSID space.
+const NUM_LEAVES: usize = ((Vsid::MASK + 1) / LEAF_BITS) as usize;
+
+/// A set of 24-bit VSIDs as a lazily built two-level bitmap: 4096 leaf
+/// slots, each naming a 512-byte leaf bitmap taken on the first insert
+/// into its range. Membership is two loads and a bit test, which matters
+/// because the checker asks it for every live task's VSIDs at every span
+/// transition and the idle reclaim asks it for every valid hash-table
+/// entry it scans.
+///
+/// A leaf is unlinked when its last VSID is removed, so lookups of retired
+/// (zombie) VSIDs — most of what the idle reclaim asks about — usually stop
+/// at the slot table, and memory tracks the live contexts rather than every
+/// context ever allocated. Unlinked leaves stay in the pool for reuse, so
+/// context churn does not allocate.
+#[derive(Debug, Clone, Default)]
+struct LiveSet {
+    /// Per 4096-VSID range: 1 + the index of its leaf in `pool`, or 0 when
+    /// the range holds no live VSID.
+    slots: Vec<u32>,
+    /// Leaf bitmaps, linked or free.
+    pool: Vec<[u64; WORDS]>,
+    /// Indices of the empty, unlinked leaves in `pool`.
+    free: Vec<u32>,
+    len: usize,
+}
+
+impl LiveSet {
+    /// `(slot, word, bit)` coordinates of `raw`.
+    #[inline]
+    fn locate(raw: u32) -> (usize, usize, u64) {
+        let raw = raw & Vsid::MASK;
+        (
+            (raw / LEAF_BITS) as usize,
+            (raw % LEAF_BITS / 64) as usize,
+            1 << (raw % 64),
+        )
+    }
+
+    /// Adds `raw` (a no-op when already present).
+    fn insert(&mut self, raw: u32) {
+        if self.slots.is_empty() {
+            self.slots = vec![0; NUM_LEAVES];
+        }
+        let (slot, word, bit) = Self::locate(raw);
+        if self.slots[slot] == 0 {
+            let leaf = self.free.pop().unwrap_or_else(|| {
+                self.pool.push([0; WORDS]);
+                self.pool.len() as u32 - 1
+            });
+            self.slots[slot] = leaf + 1;
+        }
+        let w = &mut self.pool[self.slots[slot] as usize - 1][word];
+        self.len += usize::from(*w & bit == 0);
+        *w |= bit;
+    }
+
+    /// Removes `raw` (a no-op when absent), unlinking its leaf once empty.
+    fn remove(&mut self, raw: u32) {
+        let (slot, word, bit) = Self::locate(raw);
+        let Some(leaf) = self.slots.get(slot).and_then(|&s| s.checked_sub(1)) else {
+            return;
+        };
+        let l = &mut self.pool[leaf as usize];
+        if l[word] & bit == 0 {
+            return;
+        }
+        l[word] &= !bit;
+        self.len -= 1;
+        if l.iter().all(|&w| w == 0) {
+            self.slots[slot] = 0;
+            self.free.push(leaf);
+        }
+    }
+
+    #[inline]
+    fn contains(&self, raw: u32) -> bool {
+        let (slot, word, bit) = Self::locate(raw);
+        match self.slots.get(slot) {
+            Some(&s) if s != 0 => self.pool[s as usize - 1][word] & bit != 0,
+            _ => false,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+}
+
 /// Allocates per-address-space VSIDs and tracks which are live.
 ///
 /// Liveness is the information the hardware does not have: a hash-table or
@@ -46,7 +137,7 @@ pub struct VsidStats {
 pub struct VsidAllocator {
     policy: VsidPolicy,
     next_ctx: u32,
-    live: DetHashSet<u32>,
+    live: LiveSet,
     /// Statistics.
     pub stats: VsidStats,
 }
@@ -57,7 +148,7 @@ impl VsidAllocator {
         Self {
             policy,
             next_ctx: 1,
-            live: DetHashSet::default(),
+            live: LiveSet::default(),
             stats: VsidStats::default(),
         }
     }
@@ -125,14 +216,15 @@ impl VsidAllocator {
     pub fn retire(&mut self, vsids: &[Vsid; USER_SEGMENTS]) {
         self.stats.contexts_retired += 1;
         for v in vsids {
-            self.live.remove(&v.raw());
+            self.live.remove(v.raw());
         }
     }
 
     /// Whether `v` can still match a live address space (kernel VSIDs are
     /// always live).
+    #[inline]
     pub fn is_live(&self, v: Vsid) -> bool {
-        is_kernel_vsid(v) || self.live.contains(&v.raw())
+        is_kernel_vsid(v) || self.live.contains(v.raw())
     }
 
     /// Number of live user VSIDs.

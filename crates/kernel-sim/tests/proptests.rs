@@ -173,6 +173,60 @@ proptest! {
         }
     }
 
+    /// The bitmap live set keeps set semantics: after any mix of allocs,
+    /// retires and re-allocs under either policy, `is_live` and
+    /// `live_count` agree with a `HashSet` of the allocated VSIDs. Small
+    /// scatter constants make contexts share VSIDs (an insert of a present
+    /// VSID, a retire that drops one another context still names); large
+    /// ones spread contexts over many bitmap leaves.
+    #[test]
+    fn vsid_live_set_matches_a_hash_set(
+        counter in any::<bool>(),
+        constant in prop::sample::select(vec![1u32, 5, 12, 897, 0x10_0001, 0xff_ffff]),
+        ops in proptest::collection::vec((0u8..3, 0u32..40), 1..200),
+    ) {
+        let policy = if counter {
+            VsidPolicy::ContextCounter { constant }
+        } else {
+            VsidPolicy::PidScatter { constant }
+        };
+        let mut a = VsidAllocator::new(policy);
+        let mut model = std::collections::HashSet::new();
+        let mut held: Vec<(u32, [ppc_mmu::addr::Vsid; 12])> = Vec::new();
+        let mut seen = Vec::new();
+        for &(op, n) in &ops {
+            match op {
+                // Retire a held context (its VSIDs become zombies).
+                0 if !held.is_empty() => {
+                    let (_, v) = held.swap_remove(n as usize % held.len());
+                    a.retire(&v);
+                    for x in v {
+                        model.remove(&x.raw());
+                    }
+                }
+                // Re-alloc for a PID seen before (same VSIDs under
+                // PidScatter, fresh ones under ContextCounter).
+                1 if !held.is_empty() => {
+                    let pid = held[n as usize % held.len()].0;
+                    let v = a.alloc_context(pid);
+                    model.extend(v.iter().map(|x| x.raw()));
+                    seen.extend(v);
+                    held.push((pid, v));
+                }
+                _ => {
+                    let v = a.alloc_context(n);
+                    model.extend(v.iter().map(|x| x.raw()));
+                    seen.extend(v);
+                    held.push((n, v));
+                }
+            }
+            prop_assert_eq!(a.live_count(), model.len());
+            for &x in &seen {
+                prop_assert_eq!(a.is_live(x), model.contains(&x.raw()), "vsid {:#x}", x.raw());
+            }
+        }
+    }
+
     /// End-to-end translation stability: after faulting a page in, repeated
     /// references translate to the same physical frame, whatever mix of
     /// reads and writes follows.

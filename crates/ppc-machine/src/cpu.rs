@@ -3,6 +3,7 @@
 use ppc_cache::hierarchy::MemSystem;
 use ppc_cache::AccessKind;
 use ppc_mmu::addr::{phys, EffectiveAddress, PhysAddr, VirtualAddress, PAGE_SIZE};
+use ppc_mmu::tlb::TlbEntry;
 use ppc_mmu::translate::Mmu;
 
 use crate::config::MachineConfig;
@@ -24,6 +25,24 @@ pub enum MemRefOutcome {
     Fault {
         /// The faulting virtual address.
         va: VirtualAddress,
+    },
+}
+
+/// The positive translation a fused reference committed, handed to the
+/// caller's audit hook (DESIGN.md §16).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FusedHit {
+    /// A BAT matched.
+    Bat {
+        /// Physical address the BAT produced.
+        pa: PhysAddr,
+        /// Whether the BAT maps the block cacheable.
+        cached: bool,
+    },
+    /// A TLB entry matched.
+    Tlb {
+        /// The matching entry.
+        entry: TlbEntry,
     },
 }
 
@@ -192,7 +211,21 @@ impl Machine {
     /// writebacks — and open the real host-profiler spans. On the all-hit
     /// path the per-access RAII spans are replaced by one exact
     /// `ppc_mmu::host::bulk(1, 1, 1)` count.
-    pub fn fused_data_ref(&mut self, ea: EffectiveAddress, write: bool) -> Option<Cycles> {
+    ///
+    /// `audit` sees the committed translation: it runs after the BAT/TLB
+    /// hit is counted and before the cache is touched — where the layered
+    /// path audits a hit — and never on a bail. Unaudited callers pass
+    /// `|_, _| {}`, which compiles away: the hit is built inside the call,
+    /// so an unused one is never materialized. Being generic, the function
+    /// is built in the calling crate; `#[inline(never)]` keeps it the one
+    /// out-of-line call it was.
+    #[inline(never)]
+    pub fn fused_data_ref(
+        &mut self,
+        ea: EffectiveAddress,
+        write: bool,
+        audit: impl FnOnce(&Machine, FusedHit),
+    ) -> Option<Cycles> {
         if self.scale_num != self.scale_den {
             return None;
         }
@@ -202,6 +235,7 @@ impl Machine {
                     return None;
                 }
                 self.mmu.bats.dbat_hits += 1;
+                audit(self, FusedHit::Bat { pa, cached });
                 pa
             }
             None => {
@@ -211,6 +245,7 @@ impl Machine {
                     return None;
                 }
                 self.mmu.dtlb.commit_hit(idx);
+                audit(self, FusedHit::Tlb { entry: e });
                 phys(e.rpn, va.offset)
             }
         };
@@ -229,32 +264,44 @@ impl Machine {
                 self.cycles += 1 + cost;
                 Some(1 + cost)
             }
-            None => {
-                // Translation is committed; only the translate span was
-                // skipped. The layered tail does the rest for real.
-                ppc_mmu::host::bulk(1, 0, 0);
-                self.charge(1);
-                let c = if write {
-                    self.data_write_pa(pa, true)
-                } else {
-                    self.data_read_pa(pa, true)
-                };
-                Some(1 + c)
-            }
+            None => Some(self.fused_data_miss(pa, write)),
         }
+    }
+
+    /// The cache-miss tail of [`Machine::fused_data_ref`]. Translation is
+    /// committed; only the translate span was skipped. The layered tail
+    /// does the rest for real. Kept non-generic, so it is built here with
+    /// `charge` and `data_*_pa` inlined whichever crate builds the fused
+    /// function.
+    fn fused_data_miss(&mut self, pa: PhysAddr, write: bool) -> Cycles {
+        ppc_mmu::host::bulk(1, 0, 0);
+        self.charge(1);
+        let c = if write {
+            self.data_write_pa(pa, true)
+        } else {
+            self.data_read_pa(pa, true)
+        };
+        1 + c
     }
 
     /// The fused fast path for a straight-line instruction fetch within one
     /// page: the I-side twin of [`Machine::fused_data_ref`]. Same bail-out
-    /// contract (`None` mutates nothing); after the translation commits,
-    /// lines that hit use the flat probe and lines that miss take the real
-    /// [`MemSystem::insn_fetch`] fill path, each opening its own cache span.
+    /// contract (`None` mutates nothing) and the same `audit` hook; after
+    /// the translation commits, lines that hit use the flat probe and lines
+    /// that miss take the real [`MemSystem::insn_fetch`] fill path, each
+    /// opening its own cache span.
     ///
     /// # Panics
     ///
     /// Panics if the fetch crosses a page boundary (callers split at pages,
     /// exactly like the layered `exec_code` loop).
-    pub fn fused_exec_code(&mut self, ea: EffectiveAddress, n_insns: u32) -> Option<Cycles> {
+    #[inline(never)]
+    pub fn fused_exec_code(
+        &mut self,
+        ea: EffectiveAddress,
+        n_insns: u32,
+        audit: impl FnOnce(&Machine, FusedHit),
+    ) -> Option<Cycles> {
         if self.scale_num != self.scale_den {
             return None;
         }
@@ -264,6 +311,7 @@ impl Machine {
                     return None;
                 }
                 self.mmu.bats.ibat_hits += 1;
+                audit(self, FusedHit::Bat { pa, cached });
                 pa
             }
             None => {
@@ -273,6 +321,7 @@ impl Machine {
                     return None;
                 }
                 self.mmu.itlb.commit_hit(idx);
+                audit(self, FusedHit::Tlb { entry: e });
                 phys(e.rpn, va.offset)
             }
         };
@@ -486,7 +535,9 @@ mod tests {
             // First access: translation hits, cache misses (fused tail
             // delegates); second: everything hits (flat fused path).
             for _ in 0..2 {
-                let cf = f.fused_data_ref(ea, write).expect("resident page must fuse");
+                let cf = f
+                    .fused_data_ref(ea, write, |_, _| {})
+                    .expect("resident page must fuse");
                 let (pa, cached) = match l.mmu.translate(ea, AccessType::DataRead) {
                     Translation::TlbHit { pa, cached, .. } => (pa, cached),
                     t => panic!("layered reference must TLB-hit, got {t:?}"),
@@ -498,7 +549,11 @@ mod tests {
                     l.data_read_pa(pa, cached)
                 };
                 assert_eq!(cf, cl, "fused cost diverged (write={write})");
-                assert_eq!(f.snapshot(), l.snapshot(), "counters diverged (write={write})");
+                assert_eq!(
+                    f.snapshot(),
+                    l.snapshot(),
+                    "counters diverged (write={write})"
+                );
             }
         }
     }
@@ -512,7 +567,9 @@ mod tests {
         // warm, exactly like the layered exec_code_pa tests above.
         let ea = EffectiveAddress(3 << 12 | 0x10);
         for _ in 0..2 {
-            let cf = f.fused_exec_code(ea, 16).expect("resident page must fuse");
+            let cf = f
+                .fused_exec_code(ea, 16, |_, _| {})
+                .expect("resident page must fuse");
             let (pa, cached) = match l.mmu.translate(ea, AccessType::InsnFetch) {
                 Translation::TlbHit { pa, cached, .. } => (pa, cached),
                 t => panic!("layered reference must TLB-hit, got {t:?}"),
@@ -524,12 +581,47 @@ mod tests {
     }
 
     #[test]
+    fn audit_sees_the_committed_hit_before_the_cache_and_never_a_bail() {
+        let mut m = resident(MachineConfig::ppc604_133());
+        let mut seen = None;
+        m.fused_data_ref(EffectiveAddress(3 << 12 | 0x40), true, |m, hit| {
+            let dcache = m.mem.dcache.stats().accesses;
+            seen = Some((hit, m.mmu.dtlb.stats().hits, dcache, m.cycles));
+        })
+        .expect("resident page must fuse");
+        let (hit, tlb_hits, dcache_accesses, cycles) = seen.expect("a hit must be audited");
+        let FusedHit::Tlb { entry } = hit else {
+            panic!("expected a TLB hit, got {hit:?}");
+        };
+        assert_eq!(
+            (entry.page_index, entry.rpn, entry.writable),
+            (3, 0x40, true)
+        );
+        assert_eq!(tlb_hits, 1, "the translation commits before the audit");
+        assert_eq!(
+            (dcache_accesses, cycles),
+            (0, 0),
+            "the audit precedes the access"
+        );
+
+        let mut audited = false;
+        assert!(m
+            .fused_exec_code(EffectiveAddress(9 << 12), 4, |_, _| audited = true)
+            .is_none());
+        assert!(!audited, "a bail is not audited");
+    }
+
+    #[test]
     fn fused_bails_are_stat_neutral() {
         // TLB miss: nothing resident at page 9.
         let mut m = resident(MachineConfig::ppc604_133());
         let before = m.snapshot();
-        assert!(m.fused_data_ref(EffectiveAddress(9 << 12), false).is_none());
-        assert!(m.fused_exec_code(EffectiveAddress(9 << 12), 4).is_none());
+        assert!(m
+            .fused_data_ref(EffectiveAddress(9 << 12), false, |_, _| {})
+            .is_none());
+        assert!(m
+            .fused_exec_code(EffectiveAddress(9 << 12), 4, |_, _| {})
+            .is_none());
         assert_eq!(m.snapshot(), before, "a bail must not move any counter");
 
         // Store through a read-only entry (copy-on-write territory).
@@ -545,15 +637,21 @@ mod tests {
             },
         );
         let before = m.snapshot();
-        assert!(m.fused_data_ref(EffectiveAddress(3 << 12), true).is_none());
+        assert!(m
+            .fused_data_ref(EffectiveAddress(3 << 12), true, |_, _| {})
+            .is_none());
         assert_eq!(m.snapshot(), before);
 
         // An engaged causal charge scale forces the layered path entirely.
         let mut m = resident(MachineConfig::ppc604_133());
         m.set_scale(1, 2);
         let before = m.snapshot();
-        assert!(m.fused_data_ref(EffectiveAddress(3 << 12), false).is_none());
-        assert!(m.fused_exec_code(EffectiveAddress(3 << 12), 4).is_none());
+        assert!(m
+            .fused_data_ref(EffectiveAddress(3 << 12), false, |_, _| {})
+            .is_none());
+        assert!(m
+            .fused_exec_code(EffectiveAddress(3 << 12), 4, |_, _| {})
+            .is_none());
         assert_eq!(m.snapshot(), before);
     }
 

@@ -26,7 +26,7 @@ pub mod pmu;
 pub mod time;
 
 pub use config::{CpuModel, MachineConfig};
-pub use cpu::{Machine, MemRefOutcome, ReloadOutcome};
+pub use cpu::{FusedHit, Machine, MemRefOutcome, ReloadOutcome};
 pub use exceptions::ExceptionCosts;
 pub use monitor::MonitorSnapshot;
 pub use pmu::{Mmcr0, PmcEvent, Pmu, PMC_NEGATIVE};

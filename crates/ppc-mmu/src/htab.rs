@@ -434,35 +434,26 @@ impl HashTable {
     /// histogram" used to spot hot-spots while tuning the VSID scatter
     /// constant.
     pub fn group_histogram(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.group_histogram_into(&mut out);
-        out
+        self.groups
+            .iter()
+            .map(|g| g.iter().filter(|p| p.valid).count() as u8)
+            .collect()
     }
 
-    /// [`HashTable::group_histogram`] into a caller-owned buffer, reusing
-    /// its capacity. The consistency checker's heavy sweep runs this every
-    /// epoch; with a reused scratch it allocates only when the table grows.
-    pub fn group_histogram_into(&self, out: &mut Vec<u8>) {
-        out.clear();
-        out.extend(
-            self.groups
-                .iter()
-                .map(|g| g.iter().filter(|p| p.valid).count() as u8),
-        );
+    /// Every PTEG in table order; group `g` sits at index `g`. Read-only:
+    /// does not touch statistics, cursors or replacement state, so a sweep
+    /// over the groups is invisible to the table (the consistency checker
+    /// depends on this).
+    pub fn groups(&self) -> &[[Pte; PTES_PER_GROUP]] {
+        &self.groups
     }
 
-    /// Every valid entry with its `(group, slot)` location, in table order.
-    /// Read-only: does not touch statistics, cursors or replacement state,
-    /// so a sweep over the entries is invisible to the table (the
-    /// consistency checker depends on this).
-    pub fn entries(&self) -> impl Iterator<Item = (u32, usize, Pte)> + '_ {
-        self.groups.iter().enumerate().flat_map(|(g, group)| {
-            group
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.valid)
-                .map(move |(s, p)| (g as u32, s, *p))
-        })
+    /// Mutable view of every PTEG, bypassing the hash. For tests that plant
+    /// corrupt state (a misplaced entry) to prove a checker catches it; the
+    /// simulator itself never calls this.
+    #[doc(hidden)]
+    pub fn groups_mut(&mut self) -> &mut [[Pte; PTES_PER_GROUP]] {
+        &mut self.groups
     }
 
     /// Number of completely full PTEGs (inserts there must evict).
