@@ -7,7 +7,9 @@
 //! The `hook_overhead` group measures the profiler's own tax on the hottest
 //! hook site (`Machine::charge`): `dormant` is the price every ordinary run
 //! pays (one relaxed atomic load), `armed` is the price a hostbench run
-//! pays (span counting plus stride-sampled timing).
+//! pays (span counting plus stride-sampled timing). `span_transition` is
+//! the kernel's own per-crossing tax with every observer off: a null
+//! syscall opens and closes two kernel spans.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -224,6 +226,15 @@ fn bench_hook_overhead(c: &mut Criterion) {
             black_box(m.cycles)
         });
         hostprof::disarm();
+    });
+    g.bench_function("span_transition", |b| {
+        let mut k = Kernel::boot(MachineConfig::ppc604_133(), KernelConfig::optimized());
+        let pid = k.spawn_process(4).unwrap();
+        k.switch_to(pid);
+        b.iter(|| {
+            k.sys_null();
+            black_box(k.machine.cycles)
+        });
     });
     g.finish();
 }

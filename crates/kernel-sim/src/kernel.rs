@@ -128,6 +128,16 @@ pub const HANDLER_STUB_PA: PhysAddr = 0x3000;
 /// sampling is the one observability feature that is *not* free.
 pub const PM_HANDLER_INSNS: u32 = 120;
 
+/// A hooked kernel-span transition (see `Kernel::span_transition`).
+#[derive(Debug, Clone, Copy)]
+enum Transition {
+    /// Open a span for the subsystem.
+    Enter(Subsystem),
+    /// Close the innermost span, recording `now - t0` as a latency sample
+    /// for the path when one is given.
+    Exit(Option<(Cycles, LatencyPath)>),
+}
+
 /// The simulated kernel.
 ///
 /// Owns the machine, all physical memory, the hash table, the VSID
@@ -164,6 +174,10 @@ pub struct Kernel {
     /// off).
     pub kernel_pt: LinuxPageTables,
     next_pid: Pid,
+    /// The kernel span stack, outermost first (empty = user time). The one
+    /// stack every observer reads: the profiler credits its top, the PMU
+    /// samples it, causal scales by its top, and tail capture copies it.
+    spans: Vec<Subsystem>,
     /// Recursion guard for nested TLB misses taken inside a reload handler.
     in_reload: bool,
     /// PTEG groups the idle reclaim may still scan before going back to
@@ -210,10 +224,10 @@ pub struct Kernel {
     /// [`KernelStats`], never writes the trace ring.
     pub tail: Option<Box<crate::tail::TailState>>,
     /// Causal what-if profiling state, when [`KernelConfig::causal`] is
-    /// set: its own span stack (the tracer may be off) plus per-path
-    /// extent depths, folded into one `(num, den)` machine charge scale at
-    /// every span transition. With `None` the machine scale is never
-    /// touched and stays at its bit-identical 1/1 default.
+    /// set: per-path extent depths, folded with the span-stack top into
+    /// one `(num, den)` machine charge scale at every span transition.
+    /// With `None` the machine scale is never touched and stays at its
+    /// bit-identical 1/1 default.
     pub causal: Option<Box<crate::causal::CausalState>>,
     /// Depth of in-flight scheduler mutations (context switch / teardown):
     /// the checker suspends its SchedInv clauses while nonzero. Maintained
@@ -293,6 +307,7 @@ impl Kernel {
             stats: KernelStats::default(),
             kernel_pt: LinuxPageTables::new(kernel_pgd),
             next_pid: 1,
+            spans: Vec::with_capacity(16),
             in_reload: false,
             reclaim_scan_credit: 0,
             shared_frames: Default::default(),
@@ -377,65 +392,121 @@ impl Kernel {
         }
     }
 
-    /// Opens a profiler span for `s`. Returns the entry cycle so the
+    /// Opens a kernel span for `s`. Returns the entry cycle so the
     /// matching [`Kernel::t_exit_lat`] can compute a latency sample; the
     /// caller must close the span on every path out of its scope.
-    ///
-    /// The PMU is polled **before** the span stack changes (here and in the
-    /// exit hooks): between two consecutive polls the stack is constant, so
-    /// a counter found negative at a poll is attributed to the subsystem
-    /// that actually ran the elapsed window — the invariant that makes
-    /// sampled attribution converge to the exact profiler.
     #[inline]
     pub(crate) fn t_enter(&mut self, s: Subsystem) -> Cycles {
-        self.pmu_poll();
-        self.telemetry_poll();
-        // Tune *before* the span opens: retune work charged here is
-        // bracketed by its own [`Subsystem::Mmtune`] span and never lands
-        // inside the span that is about to start.
-        self.tune_poll();
-        // Check last: invariants are evaluated over post-retune state.
-        self.check_poll();
-        let now = self.machine.cycles;
-        if let Some(t) = self.tracer.as_mut() {
-            t.prof.enter(s, now);
-        }
-        if let Some(p) = self.pmu.as_mut() {
-            p.stack.push(s);
-        }
-        self.causal_push(s);
-        now
+        self.span_transition(Transition::Enter(s));
+        self.machine.cycles
     }
 
-    /// Re-derives the machine charge scale from the causal span state; a
-    /// no-op when causal profiling is off (the machine keeps its 1/1
-    /// default and `advance` short-circuits — plain runs never pay for
-    /// this feature existing).
+    /// Closes the innermost kernel span.
+    #[inline]
+    pub(crate) fn t_exit(&mut self) {
+        self.span_transition(Transition::Exit(None));
+    }
+
+    /// Closes the innermost span and records `now - t0` as a latency sample
+    /// for `path`.
+    #[inline]
+    pub(crate) fn t_exit_lat(&mut self, t0: Cycles, path: LatencyPath) {
+        self.span_transition(Transition::Exit(Some((t0, path))));
+    }
+
+    /// One hooked span transition, in the kernel's single poll order:
+    ///
+    /// 1. the observers (PMU, then telemetry) poll *before* the stack
+    ///    changes, so they see the stack that ran the elapsed window — the
+    ///    invariant that makes sampled attribution converge to the exact
+    ///    profiler;
+    /// 2. a closing span records its latency sample while still open, then
+    ///    pops;
+    /// 3. the controllers (mmtune, then the checker) run at the
+    ///    *shallower* stack — after the pop on exit, before the push on
+    ///    enter — so retune work runs in its own [`Subsystem::Mmtune`]
+    ///    span, never inside a kernel span or its latency sample, and
+    ///    invariants are evaluated over post-retune state;
+    /// 4. an opening span pushes.
+    ///
+    /// The PM handler and a retune open their spans from inside a poll,
+    /// through [`Kernel::span_push`]/[`Kernel::span_pop`] directly: the
+    /// handler's window is frozen out of PMU counting, and a retune polls
+    /// the PMU before it pops, so the rule holds for them too.
+    #[inline]
+    fn span_transition(&mut self, t: Transition) {
+        self.pmu_poll();
+        self.telemetry_poll();
+        if let Transition::Exit(lat) = t {
+            if let Some((t0, path)) = lat {
+                self.latency_sample(t0, path);
+            }
+            self.span_pop();
+        }
+        self.tune_poll();
+        self.check_poll();
+        if let Transition::Enter(s) = t {
+            self.span_push(s);
+        }
+    }
+
+    /// The subsystem on top of the span stack ([`Subsystem::User`] when no
+    /// span is open).
+    #[inline]
+    fn span_top(&self) -> Subsystem {
+        self.spans.last().copied().unwrap_or(Subsystem::User)
+    }
+
+    /// Depth of the kernel span stack (0 = user time). Every span the
+    /// kernel opens it closes on every path out, so this is 0 at rest.
+    pub fn span_depth(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Opens a span for `s`: credits the elapsed window to the old top,
+    /// pushes, and rescales causal. Polls nothing (see
+    /// [`Kernel::span_transition`]).
+    #[inline]
+    pub(crate) fn span_push(&mut self, s: Subsystem) {
+        self.prof_credit();
+        self.spans.push(s);
+        if let Some(c) = self.causal.as_mut() {
+            c.enter(s);
+            self.causal_rescale();
+        }
+    }
+
+    /// Closes the innermost span (the counterpart of
+    /// [`Kernel::span_push`]).
+    #[inline]
+    pub(crate) fn span_pop(&mut self) {
+        self.prof_credit();
+        let s = self.spans.pop();
+        if let (Some(c), Some(s)) = (self.causal.as_mut(), s) {
+            c.exit(s);
+            self.causal_rescale();
+        }
+    }
+
+    /// Credits the cycles since the last span transition to the current
+    /// top of the stack; a single `None` test when tracing is off.
+    #[inline]
+    fn prof_credit(&mut self) {
+        let top = self.span_top();
+        if let Some(t) = self.tracer.as_mut() {
+            t.prof.credit(top, self.machine.cycles);
+        }
+    }
+
+    /// Re-derives the machine charge scale from the causal state and the
+    /// top of the span stack; a no-op when causal profiling is off (the
+    /// machine keeps its 1/1 default and `advance` short-circuits — plain
+    /// runs never pay for this feature existing).
     #[inline]
     fn causal_rescale(&mut self) {
         if let Some(c) = self.causal.as_ref() {
-            let (num, den) = c.scale();
+            let (num, den) = c.scale(self.span_top());
             self.machine.set_scale(num, den);
-        }
-    }
-
-    /// Mirrors a span push into the causal state. Called at the same
-    /// transition instants as the profiler/PMU stack pushes, so the scale
-    /// in force between two transitions is exactly the innermost span's.
-    #[inline]
-    pub(crate) fn causal_push(&mut self, s: Subsystem) {
-        if let Some(c) = self.causal.as_mut() {
-            c.push(s);
-            self.causal_rescale();
-        }
-    }
-
-    /// Mirrors a span pop into the causal state.
-    #[inline]
-    pub(crate) fn causal_pop(&mut self) {
-        if let Some(c) = self.causal.as_mut() {
-            c.pop();
-            self.causal_rescale();
         }
     }
 
@@ -450,55 +521,22 @@ impl Kernel {
         }
     }
 
-    /// Closes the innermost profiler span.
+    /// Records `now - t0` as a latency sample for `path`, with the span it
+    /// measures still on the stack: the tracer histogram, both PMUs'
+    /// duration events, and the tail-forensics hook.
     #[inline]
-    pub(crate) fn t_exit(&mut self) {
-        self.pmu_poll();
-        self.telemetry_poll();
-        let now = self.machine.cycles;
-        if let Some(t) = self.tracer.as_mut() {
-            t.prof.exit(now);
-        }
-        if let Some(p) = self.pmu.as_mut() {
-            p.stack.pop();
-        }
-        self.causal_pop();
-        // Tune *after* the span closes so the retune charge is attributed
-        // to [`Subsystem::Mmtune`], not the subsystem that just exited.
-        self.tune_poll();
-        self.check_poll();
-    }
-
-    /// Closes the innermost span and records `now - t0` as a latency sample
-    /// for `path`.
-    #[inline]
-    pub(crate) fn t_exit_lat(&mut self, t0: Cycles, path: LatencyPath) {
-        self.pmu_poll();
-        self.telemetry_poll();
+    fn latency_sample(&mut self, t0: Cycles, path: LatencyPath) {
         let now = self.machine.cycles;
         let lat = now.saturating_sub(t0);
         // Decide capture against the *pre-sample* histogram, so auto arming
-        // tracks the running top bucket without the sample judging itself —
-        // and read the span stack before `exit` pops the span this sample
-        // belongs to. Both are host-side reads; the simulated run is
-        // untouched.
+        // tracks the running top bucket without the sample judging itself.
         let capture = match (self.tail.as_ref(), self.tracer.as_ref()) {
             (Some(tl), Some(t)) => tl.armed(lat, t.latency(path)),
             _ => false,
         };
-        let mut stack: Vec<Subsystem> = Vec::new();
         if let Some(t) = self.tracer.as_mut() {
-            if capture {
-                let _host = hostprof::span(hostprof::HostPhase::Telemetry);
-                stack = t.prof.stack().to_vec();
-            }
-            t.prof.exit(now);
             t.record_latency(path, lat);
         }
-        if let Some(p) = self.pmu.as_mut() {
-            p.stack.pop();
-        }
-        self.causal_pop();
         // Instrumented-path latencies are the model's duration events: feed
         // the threshold comparator (paper: "loads lasting longer than
         // threshold"; here: reloads/faults/deliveries).
@@ -511,10 +549,7 @@ impl Kernel {
         if let Some(m) = self.mmtune.as_mut() {
             m.pmu.note_duration(lat, true);
         }
-        self.tail_poll(path, lat, now, capture, stack);
-        // Tune last: the latency sample above stays clean of retune cost.
-        self.tune_poll();
-        self.check_poll();
+        self.tail_poll(path, lat, now, capture);
     }
 
     /// The tail-forensics hook at an instrumented-path completion: advance
@@ -523,14 +558,7 @@ impl Kernel {
     /// charges cycles, never touches [`KernelStats`], never writes the
     /// trace ring. A single `None` test when tail forensics is off.
     #[inline]
-    fn tail_poll(
-        &mut self,
-        path: LatencyPath,
-        lat: Cycles,
-        now: Cycles,
-        capture: bool,
-        stack: Vec<Subsystem>,
-    ) {
+    fn tail_poll(&mut self, path: LatencyPath, lat: Cycles, now: Cycles, capture: bool) {
         if self.tail.is_none() {
             return;
         }
@@ -565,6 +593,7 @@ impl Kernel {
             free_frames: self.frames.free_frames() as u64,
         };
         let pid = self.current_pid();
+        let stack = self.spans.clone();
         if let Some(tl) = self.tail.as_mut() {
             tl.offer(path, lat, now, pid, stack, window, mmu, &stats, &htab_stats);
         }
@@ -581,10 +610,7 @@ impl Kernel {
         }
         // Supervisor state: inside any kernel span, or no task is current
         // (boot, idle, kernel-driven workload phases).
-        let supervisor = self
-            .pmu
-            .as_ref()
-            .is_some_and(|p| !p.stack.is_empty() || self.current.is_none());
+        let supervisor = !self.spans.is_empty() || self.current.is_none();
         self.machine.pmu_sync(supervisor);
         let pending = self
             .machine
@@ -619,35 +645,24 @@ impl Kernel {
         let cycle = self.machine.cycles;
         let pid = self.current_pid();
         if let Some(p) = self.pmu.as_mut() {
-            p.record(cycle, pid, supervisor, weight);
+            p.record(cycle, pid, supervisor, weight, &self.spans);
         }
         self.stats.pmu_interrupts += 1;
-        let sub = self
-            .pmu
-            .as_ref()
-            .map_or(Subsystem::User, |p| p.current_subsystem());
+        let sub = self.span_top();
         self.t_event(|| TraceEvent::PmuSample {
             sub,
             weight: weight.min(u64::from(u32::MAX)) as u32,
         });
-        // Charge the exception: entry, handler body, exit. Attributed to
-        // the Pmu bucket directly on the profiler (not through t_enter,
-        // which would re-poll and recurse).
-        let now = self.machine.cycles;
-        if let Some(t) = self.tracer.as_mut() {
-            t.prof.enter(Subsystem::Pmu, now);
-        }
-        self.causal_push(Subsystem::Pmu);
+        // Charge the exception: entry, handler body, exit, in a Pmu span
+        // (opened directly, not through t_enter, which would re-poll and
+        // recurse).
+        self.span_push(Subsystem::Pmu);
         let costs = self.machine.cfg.costs;
         self.machine
             .charge(costs.exception_entry + costs.exception_exit);
         self.machine
             .exec_code_pa(HANDLER_STUB_PA + 0x200, PM_HANDLER_INSNS, true);
-        let now = self.machine.cycles;
-        if let Some(t) = self.tracer.as_mut() {
-            t.prof.exit(now);
-        }
-        self.causal_pop();
+        self.span_pop();
         // The handler froze counting while it ran (a real PM handler sets
         // MMCR0[FC] first thing): skip its own cycles out of the next
         // counting window so sampling does not sample itself.
@@ -777,15 +792,11 @@ impl Kernel {
     }
 
     /// Applies one retune decision, charging its cost to
-    /// [`Subsystem::Mmtune`] (bracketed directly on the profiler, like the
-    /// PM handler — not through [`Kernel::t_enter`], which would re-poll).
+    /// [`Subsystem::Mmtune`] (a span opened directly, like the PM
+    /// handler's — not through [`Kernel::t_enter`], which would re-poll).
     fn apply_retune(&mut self, m: &mut Mmtune, action: TuneAction) {
-        let now = self.machine.cycles;
-        let epoch = now / m.cfg.epoch_cycles;
-        if let Some(t) = self.tracer.as_mut() {
-            t.prof.enter(Subsystem::Mmtune, now);
-        }
-        self.causal_push(Subsystem::Mmtune);
+        let epoch = self.machine.cycles / m.cfg.epoch_cycles;
+        self.span_push(Subsystem::Mmtune);
         let (knob, from, to) = match action {
             TuneAction::EnableBats => {
                 // The §5.1 layout, exactly as boot would have programmed it.
@@ -844,11 +855,12 @@ impl Kernel {
             let cached = self.cfg.htab_cached;
             self.reclaim_chunk(32, cached);
         }
+        // The span opened at a poll's cycle but closes between polls: poll
+        // the PMU first, as a hook would, so the retune window is sampled
+        // against the Mmtune span that ran it.
+        self.pmu_poll();
+        self.span_pop();
         let now = self.machine.cycles;
-        if let Some(t) = self.tracer.as_mut() {
-            t.prof.exit(now);
-        }
-        self.causal_pop();
         m.log(RetuneDecision {
             cycle: now,
             epoch,

@@ -7,13 +7,13 @@
 //! run can print "34% hash insert, 21% flush" instead of a raw event count.
 //!
 //! Attribution is a state machine over the cycle ledger, not a sampling
-//! profiler: the kernel brackets each code path with
-//! [`Profiler::enter`]/[`Profiler::exit`], and the cycles the machine clock
-//! advanced since the previous transition are credited to whatever subsystem
-//! was on top of the span stack at the time (or [`Subsystem::User`] when no
-//! span is open). Because the profiler only ever *reads* the clock, the
-//! attribution sums to the total cycles of the window exactly, and a traced
-//! run is cycle-identical to an untraced one.
+//! profiler: the kernel brackets each code path with a span on its one span
+//! stack (`Kernel::span_push`/`span_pop`), and at every push or pop it
+//! [`Profiler::credit`]s the cycles the machine clock advanced since the
+//! previous transition to whatever subsystem was on top of that stack (or
+//! [`Subsystem::User`] when no span is open). Because the profiler only
+//! ever *reads* the clock, the attribution sums to the total cycles of the
+//! window exactly, and a traced run is cycle-identical to an untraced one.
 
 use ppc_machine::Cycles;
 
@@ -104,7 +104,8 @@ impl Subsystem {
     }
 }
 
-/// Self-time cycle attribution over a span stack.
+/// Self-time cycle attribution: one bucket per subsystem, fed by the
+/// kernel's span stack.
 ///
 /// # Examples
 ///
@@ -112,9 +113,9 @@ impl Subsystem {
 /// use kernel_sim::prof::{Profiler, Subsystem};
 ///
 /// let mut p = Profiler::new(0);
-/// p.enter(Subsystem::Flush, 10);   // cycles 0..10 were user time
-/// p.exit(30);                      // cycles 10..30 belong to the flush
-/// p.finish(35);                    // trailing 5 are user time again
+/// p.credit(Subsystem::User, 10);  // a flush opens: cycles 0..10 were user time
+/// p.credit(Subsystem::Flush, 30); // it closes: cycles 10..30 were the flush
+/// p.finish(35);                   // trailing 5 are user time again
 /// assert_eq!(p.self_cycles(Subsystem::Flush), 20);
 /// assert_eq!(p.self_cycles(Subsystem::User), 15);
 /// assert_eq!(p.total(), 35);
@@ -122,7 +123,6 @@ impl Subsystem {
 #[derive(Debug, Clone)]
 pub struct Profiler {
     buckets: [Cycles; NUM_SUBSYSTEMS],
-    stack: Vec<Subsystem>,
     last: Cycles,
     start: Cycles,
 }
@@ -132,36 +132,22 @@ impl Profiler {
     pub fn new(now: Cycles) -> Self {
         Self {
             buckets: [0; NUM_SUBSYSTEMS],
-            stack: Vec::with_capacity(16),
             last: now,
             start: now,
         }
     }
 
-    /// Credits the cycles since the last transition to the current top of
-    /// stack (or [`Subsystem::User`] when no span is open).
-    fn attribute(&mut self, now: Cycles) {
-        let cur = *self.stack.last().unwrap_or(&Subsystem::User);
-        self.buckets[cur as usize] += now.saturating_sub(self.last);
+    /// Credits the cycles since the last transition to `top`, the subsystem
+    /// that was on top of the span stack while they elapsed.
+    pub fn credit(&mut self, top: Subsystem, now: Cycles) {
+        self.buckets[top as usize] += now.saturating_sub(self.last);
         self.last = now;
     }
 
-    /// Opens a span for `s` at cycle `now`.
-    pub fn enter(&mut self, s: Subsystem, now: Cycles) {
-        self.attribute(now);
-        self.stack.push(s);
-    }
-
-    /// Closes the innermost span at cycle `now`.
-    pub fn exit(&mut self, now: Cycles) {
-        self.attribute(now);
-        self.stack.pop();
-    }
-
-    /// Flushes the tail of the window up to cycle `now` (call before
-    /// reading the buckets; idempotent).
+    /// Flushes the tail of the window up to cycle `now` as user time (call
+    /// at rest, with no span open, before reading the buckets; idempotent).
     pub fn finish(&mut self, now: Cycles) {
-        self.attribute(now);
+        self.credit(Subsystem::User, now);
     }
 
     /// Self-time cycles attributed to `s` so far.
@@ -179,17 +165,6 @@ impl Profiler {
     pub fn window_start(&self) -> Cycles {
         self.start
     }
-
-    /// Current span-stack depth (0 = user time).
-    pub fn depth(&self) -> usize {
-        self.stack.len()
-    }
-
-    /// The current span stack, outermost first (a read-only view for
-    /// observers like the tail-forensics capture).
-    pub fn stack(&self) -> &[Subsystem] {
-        &self.stack
-    }
 }
 
 #[cfg(test)]
@@ -199,10 +174,10 @@ mod tests {
     #[test]
     fn attribution_sums_to_window() {
         let mut p = Profiler::new(100);
-        p.enter(Subsystem::Translate, 110);
-        p.enter(Subsystem::HtabInsert, 120); // nested
-        p.exit(150);
-        p.exit(160);
+        p.credit(Subsystem::User, 110); // Translate opens
+        p.credit(Subsystem::Translate, 120); // HtabInsert opens, nested
+        p.credit(Subsystem::HtabInsert, 150); // HtabInsert closes
+        p.credit(Subsystem::Translate, 160); // Translate closes
         p.finish(200);
         assert_eq!(p.self_cycles(Subsystem::User), 10 + 40);
         assert_eq!(p.self_cycles(Subsystem::Translate), 10 + 10);
@@ -213,10 +188,10 @@ mod tests {
     #[test]
     fn nested_spans_credit_self_time_only() {
         let mut p = Profiler::new(0);
-        p.enter(Subsystem::PageFault, 0);
-        p.enter(Subsystem::Translate, 50);
-        p.exit(70);
-        p.exit(100);
+        p.credit(Subsystem::User, 0); // PageFault opens
+        p.credit(Subsystem::PageFault, 50); // Translate opens
+        p.credit(Subsystem::Translate, 70); // Translate closes
+        p.credit(Subsystem::PageFault, 100); // PageFault closes
         p.finish(100);
         assert_eq!(p.self_cycles(Subsystem::PageFault), 80);
         assert_eq!(p.self_cycles(Subsystem::Translate), 20);
@@ -225,8 +200,8 @@ mod tests {
     #[test]
     fn finish_is_idempotent() {
         let mut p = Profiler::new(0);
-        p.enter(Subsystem::Idle, 0);
-        p.exit(40);
+        p.credit(Subsystem::User, 0); // Idle opens
+        p.credit(Subsystem::Idle, 40); // Idle closes
         p.finish(60);
         p.finish(60);
         assert_eq!(p.total(), 60);

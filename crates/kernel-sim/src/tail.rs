@@ -4,7 +4,7 @@
 //! reload or fault was slow, never *why*: log2 buckets keep counts, not
 //! context. This module is the attribution layer. When an instrumented-path
 //! latency sample lands at or above an armed threshold, the kernel captures
-//! a [`TailExemplar`] — the exact latency, the live profiler span stack, the
+//! a [`TailExemplar`] — the exact latency, the live kernel span stack, the
 //! last-K trace-ring events as a causal window, a read-only MMU-context
 //! snapshot, and the [`crate::KernelStats`] / [`ppc_mmu::HtabStats`] deltas
 //! since the previous instrumented-path completion — and files it in a
@@ -279,7 +279,7 @@ pub struct TailExemplar {
     pub path: LatencyPath,
     /// Exact latency in cycles.
     pub latency: u64,
-    /// The live profiler span stack at completion, outermost first — still
+    /// The live kernel span stack at completion, outermost first — still
     /// including the exiting span itself.
     pub stack: Vec<Subsystem>,
     /// The last-K trace-ring events before completion (causal window),

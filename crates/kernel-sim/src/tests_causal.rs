@@ -2,6 +2,7 @@
 //! identity guarantee (`causal = None` ≡ all-1/1) over a sample of kernel
 //! configurations, and the scaling semantics on a real workload.
 
+use ppc_machine::pmu::PmcEvent;
 use ppc_machine::MachineConfig;
 use ppc_mmu::addr::PAGE_SIZE;
 
@@ -40,10 +41,29 @@ fn run(machine: MachineConfig, mut cfg: KernelConfig, causal: Option<CausalConfi
     k
 }
 
+/// Every purely observational observer switched on at once: tracing, a
+/// counting PMU, epoch telemetry, the checker, tail forensics and identity
+/// causal. All of them read the one kernel span stack, and none may
+/// perturb the run.
+fn all_observers() -> KernelConfig {
+    let mut cfg = KernelConfig::optimized();
+    cfg.trace = true;
+    cfg.pmu = Some(crate::kconfig::PmuConfig::counting(
+        PmcEvent::TlbMissBoth,
+        PmcEvent::CacheMissBoth,
+    ));
+    cfg.telemetry = Some(crate::telemetry::TelemetryConfig::with_epoch(10_000));
+    cfg.check = Some(crate::check::CheckConfig::full());
+    cfg.tail = Some(crate::tail::TailConfig::auto());
+    cfg.causal = Some(CausalConfig::identity());
+    cfg
+}
+
 /// A small matrix sample: both presets, both processor families, plus the
-/// observability stack layered on (tracing + sampling PMU + mmtune), since
-/// those are exactly the features whose own cycle-identity guarantees a
-/// buggy causal layer would break.
+/// observability stack layered on (tracing + sampling PMU + mmtune, and
+/// every purely observational observer at once), since those are exactly
+/// the features whose own cycle-identity guarantees a buggy causal layer
+/// — or a span stack they disagree about — would break.
 fn config_sample() -> Vec<(MachineConfig, KernelConfig)> {
     let mut instrumented = KernelConfig::optimized();
     instrumented.trace = true;
@@ -54,6 +74,7 @@ fn config_sample() -> Vec<(MachineConfig, KernelConfig)> {
         (MachineConfig::ppc604_185(), KernelConfig::optimized()),
         (MachineConfig::ppc603_133(), KernelConfig::optimized()),
         (MachineConfig::ppc604_185(), instrumented),
+        (MachineConfig::ppc604_185(), all_observers()),
     ]
 }
 
@@ -76,6 +97,20 @@ fn all_one_causal_is_cycle_and_counter_identical_across_matrix_sample() {
         let (_, snap_p) = plain.stats_snapshot();
         assert_eq!(snap_i, snap_p, "down to the cache/TLB monitors");
     }
+}
+
+#[test]
+fn every_observer_at_once_is_cycle_and_counter_identical_to_plain() {
+    let machine = MachineConfig::ppc604_185();
+    let plain = run(machine, KernelConfig::optimized(), None);
+    let observed = run(machine, all_observers(), Some(CausalConfig::identity()));
+    assert_eq!(observed.machine.cycles, plain.machine.cycles);
+    assert_eq!(observed.stats, plain.stats);
+    let (_, snap_o) = observed.stats_snapshot();
+    let (_, snap_p) = plain.stats_snapshot();
+    assert_eq!(snap_o, snap_p, "down to the cache/TLB monitors");
+    assert_eq!(observed.span_depth(), 0);
+    assert_eq!(plain.span_depth(), 0);
 }
 
 #[test]
@@ -162,9 +197,16 @@ fn subsystem_self_time_scaling_affects_only_that_bucket() {
 
 #[test]
 fn causal_state_is_exposed_and_balanced_at_rest() {
-    let causal = CausalConfig::identity();
+    // Every path extent at 1/2: at rest the scale is back to the User
+    // ratio (1/1) only if every path the workload entered was left again.
+    let causal = CausalPath::ALL
+        .into_iter()
+        .fold(CausalConfig::identity(), |c, p| {
+            c.scale_path(p, Ratio { num: 1, den: 2 })
+        });
     let k = run(MachineConfig::ppc604_185(), KernelConfig::optimized(), Some(causal));
+    assert_eq!(k.span_depth(), 0, "span stack balanced at rest");
     let st = k.causal.as_ref().expect("causal state installed");
-    assert_eq!(st.scale(), (1, 1), "identity config folds to 1/1");
+    assert_eq!(st.scale(Subsystem::User), (1, 1), "every path extent closed");
     assert_eq!(k.machine.scale(), (1, 1));
 }

@@ -11,6 +11,7 @@ use crate::kernel::Kernel;
 use crate::prof::Subsystem;
 use crate::sched::USER_BASE;
 use crate::trace::TraceEvent;
+use crate::tune::MmtuneConfig;
 
 /// A workload exercising faults, reloads, signals, fork/COW, mmap and idle.
 fn workload(k: &mut Kernel) {
@@ -107,41 +108,93 @@ fn sampling_charges_interrupt_cost_and_collects_samples() {
     assert_eq!(st.supervisor_weight + st.user_weight, st.total_weight());
 }
 
+/// Exact and sampled shares of every subsystem but Pmu, in ppm of their
+/// own totals (the sampler never samples its own frozen handler windows,
+/// so the exact side excludes the Pmu bucket too).
+fn shares_ppm(k: &mut Kernel) -> Vec<(Subsystem, u64, u64)> {
+    let now = k.machine.cycles;
+    let t = k.tracer.as_mut().unwrap();
+    t.prof.finish(now);
+    let t = k.tracer.as_ref().unwrap();
+    let st = k.pmu.as_ref().unwrap();
+    assert_eq!(
+        st.by_subsystem[Subsystem::Pmu as usize],
+        0,
+        "handler never sampled"
+    );
+    let sampled = Subsystem::ALL.into_iter().filter(|s| *s != Subsystem::Pmu);
+    let exact_total: u64 = sampled.clone().map(|s| t.prof.self_cycles(s)).sum();
+    let sampled_total = st.total_weight();
+    assert!(sampled_total > 0 && exact_total > 0);
+    sampled
+        .map(|s| {
+            let exact_ppm = t.prof.self_cycles(s) * 1_000_000 / exact_total;
+            let sampled_ppm = st.by_subsystem[s as usize] * 1_000_000 / sampled_total;
+            (s, exact_ppm, sampled_ppm)
+        })
+        .collect()
+}
+
+/// 5% absolute-share tolerance at a 512-cycle period (E-PMU tightens this
+/// into a convergence curve).
+const SHARE_TOLERANCE_PPM: u64 = 50_000;
+
 #[test]
 fn sampled_attribution_tracks_the_exact_profiler() {
     let mut cfg = KernelConfig::optimized();
     cfg.trace = true;
     cfg.pmu = Some(PmuConfig::sampling(512));
     let mut k = run(cfg);
-    let now = k.machine.cycles;
-    let t = k.tracer.as_mut().unwrap();
-    t.prof.finish(now);
-    // Exact shares excluding the Pmu bucket (the sampler never samples its
-    // own frozen handler windows).
-    let exact_total: u64 = Subsystem::ALL
-        .iter()
-        .filter(|s| **s != Subsystem::Pmu)
-        .map(|s| t.prof.self_cycles(*s))
-        .sum();
-    let st = k.pmu.as_ref().unwrap();
-    let sampled_total = st.total_weight();
-    assert!(sampled_total > 0 && exact_total > 0);
-    for s in Subsystem::ALL {
-        if s == Subsystem::Pmu {
-            assert_eq!(st.by_subsystem[s as usize], 0, "handler never sampled");
-            continue;
-        }
-        let exact_ppm = t.prof.self_cycles(s) * 1_000_000 / exact_total;
-        let sampled_ppm = st.by_subsystem[s as usize] * 1_000_000 / sampled_total;
-        let err = exact_ppm.abs_diff(sampled_ppm);
-        // 5% absolute-share tolerance at a 512-cycle period (E-PMU tightens
-        // this into a convergence curve).
+    for (s, exact_ppm, sampled_ppm) in shares_ppm(&mut k) {
         assert!(
-            err < 50_000,
+            exact_ppm.abs_diff(sampled_ppm) < SHARE_TOLERANCE_PPM,
             "{}: exact {exact_ppm} ppm vs sampled {sampled_ppm} ppm",
             s.name()
         );
     }
+}
+
+#[test]
+fn sampled_attribution_reaches_the_mmtune_span() {
+    // Retune work runs in its own Mmtune span, opened from inside a poll
+    // rather than through the hooks; the sampler must still see it.
+    let mut cfg = KernelConfig::optimized();
+    cfg.trace = true;
+    cfg.pmu = Some(PmuConfig::sampling(512));
+    cfg.mmtune = Some(MmtuneConfig {
+        epoch_cycles: 200_000,
+        ..MmtuneConfig::default()
+    });
+    let mut k = Kernel::boot(MachineConfig::ppc604_185(), cfg);
+    for _ in 0..12 {
+        workload(&mut k);
+    }
+    k.pmu_finish();
+    assert!(k.stats.mmtune_htab_resizes > 0, "the workload must rehash");
+    let exact = k
+        .tracer
+        .as_ref()
+        .unwrap()
+        .prof
+        .self_cycles(Subsystem::Mmtune);
+    let st = k.pmu.as_ref().unwrap();
+    let sampled = st.by_subsystem[Subsystem::Mmtune as usize];
+    if exact > 10 * 512 {
+        assert!(
+            sampled > 0,
+            "{exact} exact mmtune cycles, no mmtune samples"
+        );
+    }
+    assert!(
+        st.folded.keys().any(|key| key.contains("mmtune")),
+        "no folded stack contains the mmtune span"
+    );
+    let shares = shares_ppm(&mut k);
+    let (_, exact_ppm, sampled_ppm) = shares[Subsystem::Mmtune as usize];
+    assert!(
+        exact_ppm.abs_diff(sampled_ppm) < SHARE_TOLERANCE_PPM,
+        "mmtune: exact {exact_ppm} ppm vs sampled {sampled_ppm} ppm"
+    );
 }
 
 #[test]

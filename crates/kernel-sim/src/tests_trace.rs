@@ -59,10 +59,10 @@ fn tracing_is_cycle_identical_to_disabled() {
 #[test]
 fn attribution_sums_to_total_cycles() {
     let mut k = run(true);
+    assert_eq!(k.span_depth(), 0, "all spans must be balanced at rest");
     let now = k.machine.cycles;
     let t = k.tracer.as_mut().unwrap();
     t.prof.finish(now);
-    assert_eq!(t.prof.depth(), 0, "all spans must be balanced at rest");
     assert_eq!(
         t.prof.total(),
         now - t.prof.window_start(),
@@ -156,15 +156,30 @@ fn fatal_signal_paths_keep_the_span_stack_balanced() {
     // SIGSEGV: the page-fault span unwinds through the error return.
     k.user_write(0x6000_0000, 4).unwrap_err();
     assert_eq!(k.stats.sigsegvs, 1);
+    assert_eq!(k.span_depth(), 0, "spans must unwind on fatal signals");
     let now = k.machine.cycles;
     let t = k.tracer.as_mut().unwrap();
     t.prof.finish(now);
-    assert_eq!(t.prof.depth(), 0, "spans must unwind on fatal signals");
     assert_eq!(t.prof.total(), now - t.prof.window_start());
     assert!(t
         .ring
         .iter()
         .any(|r| matches!(r.event, TraceEvent::Signal { fatal: true })));
+}
+
+#[test]
+fn span_stack_is_balanced_without_tracing() {
+    // The kernel keeps its span stack with every observer off, so balance
+    // holds — and is checkable — in a plain run too.
+    let k = run(false);
+    assert!(k.tracer.is_none());
+    assert_eq!(k.span_depth(), 0, "all spans must be balanced at rest");
+    let mut k = Kernel::boot(MachineConfig::ppc604_185(), KernelConfig::optimized());
+    let pid = k.spawn_process(4).unwrap();
+    k.switch_to(pid);
+    k.user_write(0x6000_0000, 4).unwrap_err();
+    assert_eq!(k.stats.sigsegvs, 1);
+    assert_eq!(k.span_depth(), 0, "spans must unwind on fatal signals");
 }
 
 /// A run with optional tracing and optional epoch telemetry (tight epochs so
