@@ -10,13 +10,17 @@
 //! pays (span counting plus stride-sampled timing). `span_transition` is
 //! the kernel's own per-crossing tax with every observer off: a null
 //! syscall opens and closes two kernel spans.
+//!
+//! The `checker` group times one `Kernel::check_finish` — a heavy sweep
+//! over the whole hash table plus one invariant pass, the checker's
+//! per-epoch work — on a checked kernel after a fixed workload.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use kernel_sim::hostprof;
 use kernel_sim::sched::USER_BASE;
 use kernel_sim::trace::{TraceEvent, TraceRecord, TraceRing};
-use kernel_sim::{Kernel, KernelConfig};
+use kernel_sim::{CheckConfig, Kernel, KernelConfig};
 use ppc_cache::hierarchy::{MemSystem, MemSystemConfig};
 use ppc_machine::{Machine, MachineConfig};
 use ppc_mmu::addr::{EffectiveAddress, Vsid};
@@ -239,6 +243,31 @@ fn bench_hook_overhead(c: &mut Criterion) {
     g.finish();
 }
 
+/// checker: the per-epoch work of a checked run, on a kernel whose eight
+/// tasks each touched 32 pages; two of them exited, leaving zombie
+/// hash-table entries.
+fn bench_checker(c: &mut Criterion) {
+    let mut g = c.benchmark_group("checker");
+    g.bench_function("check_finish", |b| {
+        let mut cfg = KernelConfig::optimized();
+        cfg.check = Some(CheckConfig::full());
+        let mut k = Kernel::boot(MachineConfig::ppc604_133(), cfg);
+        for i in 0..8 {
+            let pid = k.spawn_process(32).unwrap();
+            k.switch_to(pid);
+            k.user_write(USER_BASE, 32 * 4096).unwrap();
+            if i % 4 == 3 {
+                k.exit_current();
+            }
+        }
+        b.iter(|| {
+            k.check_finish();
+            black_box(k.check.as_ref().map(|c| c.heavy_sweeps))
+        });
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_translate,
@@ -246,6 +275,7 @@ criterion_group!(
     bench_charge,
     bench_fused_hot_paths,
     bench_trace_write,
-    bench_hook_overhead
+    bench_hook_overhead,
+    bench_checker
 );
 criterion_main!(benches);

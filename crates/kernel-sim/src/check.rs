@@ -312,13 +312,11 @@ impl Kernel {
                         }
                     }
                     _ => {
-                        for v in &t.vsids {
-                            if !self.vsids.is_live(*v) {
-                                return Some(format!(
-                                    "MMInv: live task {i} owns retired vsid {:#x}",
-                                    v.raw()
-                                ));
-                            }
+                        if let Some(v) = self.vsids.first_dead(&t.vsids) {
+                            return Some(format!(
+                                "MMInv: live task {i} owns retired vsid {:#x}",
+                                v.raw()
+                            ));
                         }
                     }
                 }
@@ -340,11 +338,14 @@ impl Kernel {
     /// The heavy epoch sweep: containment of resident translations in the
     /// oracle, and hash-table structural self-consistency.
     ///
-    /// The hash table is walked once: each valid entry gets its residency
-    /// and placement checks and feeds the occupancy totals. Each kind keeps
-    /// its first violation in table order, and the kinds are reported in a
-    /// fixed order — TLB residency, htab residency, placement, occupancy —
-    /// so the message is the one a pass per check would have produced.
+    /// The hash table is walked once, building each PTEG's 8-bit valid
+    /// mask. The masks feed the occupancy totals, which are compared with
+    /// the counts the table maintains itself; only the set bits, in slot
+    /// order, get the residency and placement checks, so the mostly empty
+    /// table costs one mask per PTEG. Each kind keeps its first violation
+    /// in table order, and the kinds are reported in a fixed order — TLB
+    /// residency, htab residency, placement, occupancy — so the message is
+    /// the one a pass per check would have produced.
     fn heavy_sweep_violation(&self, c: &CheckState) -> Option<String> {
         let (oracle, invariants) = (c.cfg.oracle, c.cfg.invariants);
         // Zombie entries — retired VSIDs — are exactly what lazy flushing
@@ -381,9 +382,18 @@ impl Kernel {
         let (mut sum, mut full) = (0u32, 0u32);
         for (g, group) in groups.iter().enumerate() {
             let g = g as u32;
-            let mut valid = 0;
-            for (s, pte) in group.iter().enumerate().filter(|(_, p)| p.valid) {
-                valid += 1;
+            let mask = group
+                .iter()
+                .enumerate()
+                .fold(0u8, |m, (s, p)| m | (u8::from(p.valid) << s));
+            let valid = mask.count_ones();
+            sum += valid;
+            full += u32::from(valid as usize == PTES_PER_GROUP);
+            let mut bits = mask;
+            while bits != 0 {
+                let s = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let pte = &group[s];
                 // Residency reports first, so its first violation ends the
                 // walk.
                 if oracle && live(pte.vsid) {
@@ -414,8 +424,6 @@ impl Kernel {
                     }
                 }
             }
-            sum += valid;
-            full += u32::from(valid as usize == PTES_PER_GROUP);
         }
         if !invariants {
             return None;

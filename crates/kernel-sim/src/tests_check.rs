@@ -166,10 +166,8 @@ fn violation_of(f: impl FnOnce()) -> String {
         .unwrap_or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()).unwrap())
 }
 
-/// A checked kernel with one running task, plus a hash-table entry under a
-/// VSID no context owns (so residency exempts it) planted in group 0, where
-/// its hash does not put it.
-fn kernel_with_misplaced_entry() -> Kernel {
+/// A checked kernel with one running task that has touched eight pages.
+fn checked_kernel() -> Kernel {
     let mut k = Kernel::boot(
         MachineConfig::ppc604_185(),
         cfg_with(Some(CheckConfig::full()), None),
@@ -177,12 +175,26 @@ fn kernel_with_misplaced_entry() -> Kernel {
     let a = k.spawn_process(8).unwrap();
     k.switch_to(a);
     k.user_write(USER_BASE, 8 * 4096).unwrap();
+    k
+}
+
+/// A valid hash-table entry under a VSID no context owns, so residency
+/// exempts it.
+fn dead_pte(k: &Kernel, page_index: u32) -> Pte {
     let mut pte = Pte::invalid();
     pte.valid = true;
     pte.vsid = Vsid::new(0x00ab_cdef);
-    pte.page_index = 0x1234;
+    pte.page_index = page_index;
     pte.rpn = 0x55;
     assert!(!k.vsids.is_live(pte.vsid));
+    pte
+}
+
+/// [`checked_kernel`] plus a [`dead_pte`] planted in group 0, where its
+/// hash does not put it.
+fn kernel_with_misplaced_entry() -> Kernel {
+    let mut k = checked_kernel();
+    let pte = dead_pte(&k, 0x1234);
     assert_ne!(k.htab.hash().pteg_index(pte.vsid, pte.page_index, false), 0);
     let group = &mut k.htab.groups_mut()[0];
     let slot = group
@@ -225,6 +237,53 @@ fn heavy_sweep_reports_residency_before_an_earlier_misplacement() {
             "MM check violation: htab residency sweep observed a translation the \
              oracle holds illegal (stale entry): vsid={vsid:#x} page=0xfff0 -> rpn=0x42 \
              writable=true cached=true"
+        )),
+        "{msg}"
+    );
+}
+
+#[test]
+fn heavy_sweep_catches_an_entry_the_counts_missed() {
+    // Correctly placed, so placement passes; written behind the table's
+    // back, so the count the table maintains is one short of the walk.
+    let mut k = checked_kernel();
+    let n = k.htab.valid_entries();
+    let pte = dead_pte(&k, 0x4321);
+    let g = k.htab.hash().pteg_index(pte.vsid, pte.page_index, false);
+    let group = &mut k.htab.groups_mut()[g as usize];
+    let slot = group.iter().position(|p| !p.valid).expect("room");
+    group[slot] = pte;
+    let msg = violation_of(move || k.check_finish());
+    assert!(
+        msg.starts_with(&format!(
+            "MM check violation: htab occupancy: histogram sums to {}, valid_entries says {n}",
+            n + 1
+        )),
+        "{msg}"
+    );
+}
+
+#[test]
+fn heavy_sweep_reports_the_first_violation_after_empty_groups() {
+    // An empty table but for two misplaced entries, in the middle and last
+    // groups: the sweep skips the empty PTEGs yet reports the earlier one,
+    // at its slot.
+    let mut k = checked_kernel();
+    k.htab.clear();
+    let groups = k.htab.groups().len() as u32;
+    let (mid, last) = (groups / 2, groups - 1);
+    let early = dead_pte(&k, 0x1234);
+    let late = dead_pte(&k, 0x2345);
+    let hash = k.htab.hash();
+    assert_ne!(hash.pteg_index(early.vsid, early.page_index, false), mid);
+    assert_ne!(hash.pteg_index(late.vsid, late.page_index, false), last);
+    k.htab.groups_mut()[mid as usize][5] = early;
+    k.htab.groups_mut()[last as usize][0] = late;
+    let msg = violation_of(move || k.check_finish());
+    assert!(
+        msg.starts_with(&format!(
+            "MM check violation: htab placement: vsid=0xabcdef page=0x1234 (secondary=false) \
+             found in group {mid} slot 5, hash says group "
         )),
         "{msg}"
     );

@@ -113,13 +113,19 @@ impl LiveSet {
         }
     }
 
+    /// The 64-bit bitmap word holding `raw`; 0 when its leaf is unlinked.
+    #[inline]
+    fn word(&self, raw: u32) -> u64 {
+        let (slot, word, _) = Self::locate(raw);
+        match self.slots.get(slot) {
+            Some(&s) if s != 0 => self.pool[s as usize - 1][word],
+            _ => 0,
+        }
+    }
+
     #[inline]
     fn contains(&self, raw: u32) -> bool {
-        let (slot, word, bit) = Self::locate(raw);
-        match self.slots.get(slot) {
-            Some(&s) if s != 0 => self.pool[s as usize - 1][word] & bit != 0,
-            _ => false,
-        }
+        self.word(raw) & Self::locate(raw).2 != 0
     }
 
     fn len(&self) -> usize {
@@ -225,6 +231,45 @@ impl VsidAllocator {
     #[inline]
     pub fn is_live(&self, v: Vsid) -> bool {
         is_kernel_vsid(v) || self.live.contains(v.raw())
+    }
+
+    /// The first VSID of `vsids` that is not live — the one
+    /// `vsids.iter().copied().find(|v| !self.is_live(*v))` returns — for one
+    /// bitmap-word load per run of VSIDs that share a 64-VSID word. A
+    /// context's VSIDs are consecutive, so its twelve cost one or two loads;
+    /// the checker asks this for every live task at every span transition.
+    pub fn first_dead(&self, vsids: &[Vsid]) -> Option<Vsid> {
+        let mut start = 0;
+        let mut key = vsids.first()?.raw() / 64;
+        let mut need = 0u64;
+        for (i, v) in vsids.iter().enumerate() {
+            if v.raw() / 64 != key {
+                if let Some(dead) = self.first_dead_in_word(&vsids[start..i], need) {
+                    return Some(dead);
+                }
+                (start, key, need) = (i, v.raw() / 64, 0);
+            }
+            need |= 1 << (v.raw() % 64);
+        }
+        self.first_dead_in_word(&vsids[start..], need)
+    }
+
+    /// [`VsidAllocator::first_dead`] over a non-empty `run` of VSIDs that
+    /// share one bitmap word; `need` has their bits set.
+    fn first_dead_in_word(&self, run: &[Vsid], need: u64) -> Option<Vsid> {
+        // The kernel range starts on a word boundary, so a word holds only
+        // kernel VSIDs (always live) or only user VSIDs.
+        const _: () = assert!(KERNEL_VSID_BASE.is_multiple_of(64));
+        if is_kernel_vsid(run[0]) {
+            return None;
+        }
+        let bits = self.live.word(run[0].raw());
+        if bits & need == need {
+            return None;
+        }
+        run.iter()
+            .copied()
+            .find(|v| bits & 1 << (v.raw() % 64) == 0)
     }
 
     /// Number of live user VSIDs.

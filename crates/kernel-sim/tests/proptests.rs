@@ -6,13 +6,13 @@ use kernel_sim::kconfig::VsidPolicy;
 use kernel_sim::linuxpt::{LinuxPageTables, LinuxPte, PTE_RW};
 use kernel_sim::physmem::{FrameAllocator, PhysMem};
 use kernel_sim::sched::USER_BASE;
-use kernel_sim::vsid::VsidAllocator;
+use kernel_sim::vsid::{kernel_vsid, VsidAllocator};
 use kernel_sim::{Kernel, KernelConfig};
 use ppc_cache::stats::CacheStats;
 use ppc_machine::monitor::MonitorSnapshot;
 use ppc_machine::pmu::{Mmcr0, PmcEvent, Pmu};
 use ppc_machine::MachineConfig;
-use ppc_mmu::addr::{EffectiveAddress, PAGE_SIZE};
+use ppc_mmu::addr::{EffectiveAddress, Vsid, PAGE_SIZE};
 use ppc_mmu::tlb::TlbStats;
 
 /// Counter fields in a [`MonitorSnapshot`]: cycles + 2 TLBs (6 each) +
@@ -608,5 +608,55 @@ proptest! {
             (outcomes, k.machine.cycles, k.stats_snapshot())
         };
         prop_assert_eq!(run(true), run(false));
+    }
+}
+
+proptest! {
+    /// `first_dead` returns what `is_live` asked in order returns, over the
+    /// arrays of live, retired and re-allocated contexts (context counter
+    /// and pid scatter), the same arrays wrapped in kernel VSIDs, and raw
+    /// runs that straddle a 64-VSID bitmap word or a 4096-VSID leaf.
+    #[test]
+    fn vsid_first_dead_matches_is_live(
+        scatter in any::<bool>(),
+        constant in prop::sample::select(vec![1u32, 58, 897, 4090]),
+        ops in proptest::collection::vec((0u32..4, 0u32..40), 4..60),
+        runs in proptest::collection::vec(
+            ((any::<bool>(), 1u32..70), 0u32..16, 1usize..20),
+            8..24,
+        ),
+    ) {
+        let mut a = VsidAllocator::new(if scatter {
+            VsidPolicy::PidScatter { constant }
+        } else {
+            VsidPolicy::ContextCounter { constant }
+        });
+        let (mut live, mut arrays) = (Vec::new(), Vec::new());
+        for &(op, pid) in &ops {
+            if op == 0 && !live.is_empty() {
+                let v = live.swap_remove(pid as usize % live.len());
+                a.retire(&v);
+            } else {
+                let v = a.alloc_context(pid);
+                live.push(v);
+                arrays.push(v.to_vec());
+            }
+        }
+        for v in arrays.clone() {
+            arrays.push([&[kernel_vsid(12)], &v[..], &[kernel_vsid(15)]].concat());
+            arrays.push(v.iter().rev().copied().collect());
+        }
+        for &((leaf, n), back, len) in &runs {
+            let boundary = n * if leaf { 4096 } else { 64 };
+            let start = boundary.saturating_sub(back);
+            arrays.push((start..start + len as u32).map(Vsid::new).collect());
+        }
+        for v in &arrays {
+            prop_assert_eq!(
+                a.first_dead(v),
+                v.iter().copied().find(|x| !a.is_live(*x)),
+                "vsids {:x?}", v.iter().map(|x| x.raw()).collect::<Vec<_>>()
+            );
+        }
     }
 }

@@ -161,6 +161,11 @@ pub struct HashTable {
     replacement: Replacement,
     /// Xorshift state for [`Replacement::Random`].
     rng_state: u32,
+    /// Slots whose valid bit is set, kept current at every slot transition
+    /// (a write through [`HashTable::groups_mut`] bypasses it).
+    valid: u32,
+    /// PTEGs with all eight valid bits set, kept current likewise.
+    full: u32,
 }
 
 impl HashTable {
@@ -182,6 +187,8 @@ impl HashTable {
             reclaim_cursor: 0,
             replacement: Replacement::RoundRobin,
             rng_state: 0x2545_f491,
+            valid: 0,
+            full: 0,
         }
     }
 
@@ -280,7 +287,7 @@ impl HashTable {
                 visit(self.slot_pa(g, slot));
                 if !self.groups[g as usize][slot].valid {
                     pte.secondary = secondary;
-                    self.groups[g as usize][slot] = pte;
+                    self.fill(g, slot, pte);
                     visit(self.slot_pa(g, slot));
                     self.stats.inserts_into_empty += 1;
                     return InsertOutcome {
@@ -313,6 +320,7 @@ impl HashTable {
             }
             Replacement::FirstSlot => 0,
         };
+        // A valid slot stays valid: the counts do not move.
         let displaced = self.groups[g as usize][slot];
         pte.secondary = false;
         self.groups[g as usize][slot] = pte;
@@ -344,6 +352,8 @@ impl HashTable {
     ) -> (u32, bool) {
         let found = self.search_with(vsid, page_index, visit);
         if let Some((g, slot)) = found.location {
+            self.full -= u32::from(self.is_full(g));
+            self.valid -= 1;
             self.groups[g as usize][slot].valid = false;
             self.stats.invalidates += 1;
             (found.probes, true)
@@ -372,15 +382,10 @@ impl HashTable {
         let mut scanned = 0;
         let mut cleared = 0;
         for _ in 0..max_groups {
-            let g = self.reclaim_cursor as usize;
+            let g = self.reclaim_cursor;
             self.reclaim_cursor = (self.reclaim_cursor + 1) % n;
-            for pte in &mut self.groups[g] {
-                scanned += 1;
-                if pte.valid && !is_live(pte.vsid) {
-                    pte.valid = false;
-                    cleared += 1;
-                }
-            }
+            scanned += PTES_PER_GROUP as u32;
+            cleared += self.clear_where(g, |v| !is_live(v));
         }
         self.stats.zombies_reclaimed += cleared as u64;
         (scanned, cleared)
@@ -390,19 +395,12 @@ impl HashTable {
     /// satisfies `pred` — the *eager* context flush the lazy scheme replaces.
     /// Returns `(slots_scanned, entries_cleared)`.
     pub fn invalidate_matching(&mut self, mut pred: impl FnMut(Vsid) -> bool) -> (u32, u32) {
-        let mut scanned = 0;
         let mut cleared = 0;
-        for g in &mut self.groups {
-            for pte in g {
-                scanned += 1;
-                if pte.valid && pred(pte.vsid) {
-                    pte.valid = false;
-                    cleared += 1;
-                    self.stats.invalidates += 1;
-                }
-            }
+        for g in 0..self.hash.num_groups() {
+            cleared += self.clear_where(g, &mut pred);
         }
-        (scanned, cleared)
+        self.stats.invalidates += u64::from(cleared);
+        (self.capacity(), cleared)
     }
 
     /// The PTEG the next [`HashTable::reclaim_zombies`] call starts at.
@@ -410,9 +408,10 @@ impl HashTable {
         self.reclaim_cursor
     }
 
-    /// Number of slots whose valid bit is set (live + zombie alike).
+    /// Number of slots whose valid bit is set (live + zombie alike). O(1):
+    /// the count is kept at every slot transition, not recounted.
     pub fn valid_entries(&self) -> u32 {
-        self.groups.iter().flatten().filter(|p| p.valid).count() as u32
+        self.valid
     }
 
     /// Number of valid slots whose VSID `is_live` accepts.
@@ -456,12 +455,41 @@ impl HashTable {
         &mut self.groups
     }
 
-    /// Number of completely full PTEGs (inserts there must evict).
+    /// Number of completely full PTEGs (inserts there must evict). O(1),
+    /// like [`HashTable::valid_entries`].
     pub fn full_groups(&self) -> u32 {
-        self.groups
-            .iter()
-            .filter(|g| g.iter().all(|p| p.valid))
-            .count() as u32
+        self.full
+    }
+
+    /// Whether every slot of PTEG `g` is valid.
+    fn is_full(&self, g: u32) -> bool {
+        self.groups[g as usize].iter().all(|p| p.valid)
+    }
+
+    /// Writes the valid `pte` into the empty slot `(g, slot)`, keeping the
+    /// counts.
+    fn fill(&mut self, g: u32, slot: usize, pte: Pte) {
+        debug_assert!(pte.valid && !self.groups[g as usize][slot].valid);
+        self.groups[g as usize][slot] = pte;
+        self.valid += 1;
+        self.full += u32::from(self.is_full(g));
+    }
+
+    /// Clears, in slot order, every valid slot of PTEG `g` whose VSID
+    /// `pred` accepts, keeping the counts. Returns how many it cleared.
+    fn clear_where(&mut self, g: u32, mut pred: impl FnMut(Vsid) -> bool) -> u32 {
+        let group = &mut self.groups[g as usize];
+        let was_full = group.iter().all(|p| p.valid);
+        let mut cleared = 0;
+        for pte in group.iter_mut().filter(|p| p.valid) {
+            if pred(pte.vsid) {
+                pte.valid = false;
+                cleared += 1;
+            }
+        }
+        self.valid -= cleared;
+        self.full -= u32::from(was_full && cleared > 0);
+        cleared
     }
 
     /// Rehashes the table into `new_groups` PTEGs at the same base address,
@@ -493,6 +521,8 @@ impl HashTable {
         self.hash = HashFunction::new(new_groups);
         self.rr = vec![0; new_groups as usize];
         self.reclaim_cursor = 0;
+        self.valid = 0;
+        self.full = 0;
         let mut out = ResizeOutcome {
             old_groups,
             new_groups,
@@ -522,7 +552,7 @@ impl HashTable {
                         visit(self.slot_pa(ng, slot));
                         if !self.groups[ng as usize][slot].valid {
                             pte.secondary = secondary;
-                            self.groups[ng as usize][slot] = pte;
+                            self.fill(ng, slot, pte);
                             visit(self.slot_pa(ng, slot));
                             placed = true;
                             break 'probe;
@@ -549,6 +579,8 @@ impl HashTable {
         for g in &mut self.groups {
             *g = [Pte::invalid(); PTES_PER_GROUP];
         }
+        self.valid = 0;
+        self.full = 0;
     }
 }
 

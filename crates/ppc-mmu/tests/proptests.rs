@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use ppc_mmu::addr::{EffectiveAddress, Vsid};
 use ppc_mmu::bat::BatEntry;
 use ppc_mmu::hash::HashFunction;
-use ppc_mmu::htab::HashTable;
+use ppc_mmu::htab::{HashTable, Replacement};
 use ppc_mmu::pte::Pte;
 use ppc_mmu::tlb::{Tlb, TlbConfig, TlbEntry};
 
@@ -173,5 +173,68 @@ proptest! {
         prop_assert_eq!(pa - pa_base, inside - (ea_base & !(len - 1)));
         let outside = (ea_base & !(len - 1)).wrapping_add(len).wrapping_add(out_off);
         prop_assert!(b.translate(EffectiveAddress(outside)).is_none());
+    }
+}
+
+/// Valid slots and full PTEGs, recounted from the raw groups.
+fn recount(h: &HashTable) -> (u32, u32) {
+    let groups = h.groups();
+    let valid = groups.iter().flatten().filter(|p| p.valid).count() as u32;
+    let full = groups.iter().filter(|g| g.iter().all(|p| p.valid)).count() as u32;
+    (valid, full)
+}
+
+proptest! {
+    /// The maintained `valid_entries()`/`full_groups()` equal a recount
+    /// after every operation of a random sequence. The table starts
+    /// overfilled (160 inserts into 128 slots), so inserts displace in full
+    /// groups under the chosen policy; resizes grow and shrink (a shrink
+    /// to 32 slots drops entries).
+    #[test]
+    fn htab_counts_match_recount(
+        policy in prop::sample::select(vec![
+            Replacement::RoundRobin,
+            Replacement::Random,
+            Replacement::FirstSlot,
+        ]),
+        prefill in proptest::collection::vec((0u32..4, 0u32..0x40), 160..161),
+        ops in proptest::collection::vec((0u32..32, 0u32..4, 0u32..0x40), 1..300),
+    ) {
+        let mut h = HashTable::new(16, 0);
+        h.set_replacement(policy);
+        for &(v, p) in &prefill {
+            h.insert(pte(v, p, 1));
+            prop_assert_eq!((h.valid_entries(), h.full_groups()), recount(&h));
+        }
+        prop_assert!(h.stats().overflows > 0);
+        for &(op, v, p) in &ops {
+            let vsid = Vsid::new(v);
+            match op {
+                0..=19 => {
+                    h.insert(pte(v, p, 2));
+                }
+                20..=23 => {
+                    h.invalidate(vsid, p);
+                }
+                24..=25 => {
+                    h.reclaim_zombies(p % 24, |x| x.raw() % 2 == v % 2);
+                }
+                26..=27 => {
+                    h.invalidate_matching(|x| x == vsid);
+                }
+                28..=30 => {
+                    let r = h.resize(4 << (p % 5));
+                    prop_assert_eq!(r.moved, h.valid_entries());
+                }
+                _ => h.clear(),
+            }
+            prop_assert_eq!(
+                (h.valid_entries(), h.full_groups()),
+                recount(&h),
+                "after op {} on ({}, {:#x})", op, v, p
+            );
+            let occupancy = recount(&h).0 as f64 / h.capacity() as f64;
+            prop_assert!((h.occupancy() - occupancy).abs() < 1e-12);
+        }
     }
 }
