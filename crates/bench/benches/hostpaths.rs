@@ -14,6 +14,10 @@
 //! The `checker` group times one `Kernel::check_finish` — a heavy sweep
 //! over the whole hash table plus one invariant pass, the checker's
 //! per-epoch work — on a checked kernel after a fixed workload.
+//!
+//! The `copy` group times whole kernel copy loops (`sys_read`, a pipe
+//! transfer, `user_write`): the per-line references behind the LmBench
+//! bandwidth rows.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -211,6 +215,48 @@ fn bench_fused_hot_paths(c: &mut Criterion) {
     g.finish();
 }
 
+/// copy: the kernel's copy loops on an optimized 604/133, everything warm
+/// — a 64 KiB `sys_read` of a cached file (`bw_file_rd`'s inner call), a
+/// 64 KiB pipe transfer between two processes (`bw_pipe`'s), and a 16 KiB
+/// `user_write`. Their per-line references run as fused line runs
+/// (DESIGN.md §16); every iteration simulates the same work.
+fn bench_copy(c: &mut Criterion) {
+    const CHUNK: u32 = 64 * 1024;
+    let mut g = c.benchmark_group("copy");
+    g.sample_size(20);
+    let boot = || Kernel::boot(MachineConfig::ppc604_133(), KernelConfig::optimized());
+    let process = |k: &mut Kernel| {
+        let pid = k.spawn_process(32).unwrap();
+        k.switch_to(pid);
+        k.prefault(USER_BASE, CHUNK / 4096).unwrap();
+        pid
+    };
+    g.bench_function("sys_read_64k", |b| {
+        let mut k = boot();
+        process(&mut k);
+        let f = k.create_file(CHUNK).unwrap();
+        k.sys_read(f, 0, USER_BASE, CHUNK).unwrap();
+        b.iter(|| black_box(k.sys_read(f, 0, USER_BASE, CHUNK).unwrap()));
+    });
+    g.bench_function("pipe_transfer_64k", |b| {
+        let mut k = boot();
+        let (w, r) = (process(&mut k), process(&mut k));
+        let p = k.pipe_create().unwrap();
+        k.pipe_transfer(p, w, r, USER_BASE, USER_BASE, CHUNK).unwrap();
+        b.iter(|| {
+            k.pipe_transfer(p, w, r, USER_BASE, USER_BASE, CHUNK).unwrap();
+            black_box(k.machine.cycles)
+        });
+    });
+    g.bench_function("user_write_16k", |b| {
+        let mut k = boot();
+        process(&mut k);
+        k.user_write(USER_BASE, 16 * 1024).unwrap();
+        b.iter(|| black_box(k.user_write(USER_BASE, 16 * 1024).unwrap()));
+    });
+    g.finish();
+}
+
 /// hook_overhead: what the profiler itself costs at the hottest hook site.
 fn bench_hook_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("hook_overhead");
@@ -274,6 +320,7 @@ criterion_group!(
     bench_cache,
     bench_charge,
     bench_fused_hot_paths,
+    bench_copy,
     bench_trace_write,
     bench_hook_overhead,
     bench_checker

@@ -24,7 +24,7 @@
 //! `Machine::charge`, never touches TLB/cache replacement state, and reads
 //! MMU structures only through the read-only sweep accessors).
 
-use ppc_machine::{Cycles, FusedHit, Machine};
+use ppc_machine::{Cycles, FusedHit, LineStream, Machine};
 use ppc_mmu::addr::{EffectiveAddress, VirtualAddress};
 use ppc_mmu::htab::PTES_PER_GROUP;
 use ppc_mmu::pte::Pte;
@@ -520,6 +520,28 @@ impl Kernel {
         let cfg = &self.cfg;
         self.machine
             .fused_data_ref(ea, write, |m, hit| c.audit_hit(cfg, m, ea, at, hit))
+    }
+
+    /// [`Machine::fused_line_run`] with every committed hit audited (see
+    /// [`Kernel::audited_data_ref`]).
+    #[inline(never)]
+    pub(crate) fn audited_line_run<const N: usize>(
+        &mut self,
+        streams: [LineStream; N],
+        lines: u32,
+        charge: Option<Cycles>,
+    ) -> Option<Cycles> {
+        let c = self.check.as_deref_mut()?;
+        let cfg = &self.cfg;
+        self.machine
+            .fused_line_run(streams, lines, charge, |m, line, hit| {
+                let at = if line.write {
+                    AccessType::DataWrite
+                } else {
+                    AccessType::DataRead
+                };
+                c.audit_hit(cfg, m, line.ea, at, hit)
+            })
     }
 
     /// [`Machine::fused_exec_code`] with its hit audited (see

@@ -1,6 +1,7 @@
 //! Files and the page cache.
 
-use ppc_mmu::addr::{PhysAddr, PAGE_SIZE};
+use ppc_machine::LineStream;
+use ppc_mmu::addr::{EffectiveAddress, PhysAddr, PAGE_SIZE};
 
 use crate::errors::{KResult, KernelError};
 use crate::kernel::Kernel;
@@ -114,16 +115,23 @@ impl Kernel {
                 PageCacheLookup::PastEof => unreachable!("read truncated at EOF"),
             };
             self.mem_map_ref(page, false);
-            // Copy page-cache -> user buffer, one reference per line each side.
-            let line = 32;
-            let mut o = 0;
-            while o < chunk {
-                self.data_ref(pa_to_kva(page + page_off + o), false)?;
-                self.data_ref(ppc_mmu::addr::EffectiveAddress(user_ea + done + o), true)?;
-                // Per-word copy-loop pipeline work for the rest of the line.
-                self.machine.charge(10);
-                o += line;
-            }
+            // Copy page-cache -> user buffer, one reference per line each
+            // side, plus per-word copy-loop pipeline work for the rest of
+            // the line.
+            self.copy_lines(
+                [
+                    LineStream {
+                        ea: pa_to_kva(page + page_off),
+                        write: false,
+                    },
+                    LineStream {
+                        ea: EffectiveAddress(user_ea + done),
+                        write: true,
+                    },
+                ],
+                chunk,
+                Some(10),
+            )?;
             done += chunk;
         }
         self.syscall_exit();

@@ -191,6 +191,14 @@ fn flush_tls_spans() {
     });
 }
 
+/// Drains the calling thread's unflushed span counts and returns them, per
+/// phase, instead of adding them to the global counters. A thread that
+/// drains before and after its own work reads exactly that work's span
+/// counts, whatever other threads count and flush meanwhile.
+pub fn take_thread_spans() -> [u64; NUM_PHASES] {
+    TLS_SPANS.with(|t| std::array::from_fn(|i| t.counts[i].replace(0)))
+}
+
 fn now_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }

@@ -1,6 +1,6 @@
 //! The kernel proper: state, boot, and the translate-and-access engine.
 
-use ppc_machine::{Cycles, Machine, MachineConfig};
+use ppc_machine::{Cycles, LineStream, Machine, MachineConfig, LINE_RUN_STRIDE};
 use ppc_mmu::addr::{EffectiveAddress, PhysAddr, VirtualAddress, PAGE_SIZE};
 use ppc_mmu::bat::BatEntry;
 use ppc_mmu::htab::HashTable;
@@ -1081,13 +1081,71 @@ impl Kernel {
     /// An access outside the task's VMAs kills it (SIGSEGV) and fails.
     pub fn user_access(&mut self, ea: u32, len: u32, write: bool) -> KResult<Cycles> {
         let start = self.machine.cycles;
-        let line = 32;
+        self.copy_lines(
+            [LineStream {
+                ea: EffectiveAddress(ea),
+                write,
+            }],
+            len,
+            None,
+        )?;
+        Ok(self.machine.cycles - start)
+    }
+
+    /// A copy loop: for each [`LINE_RUN_STRIDE`]-byte line of `len` bytes,
+    /// one data reference per stream (in stream order) at the line's offset
+    /// from the stream's start, then `charge` cycles of loop work, if any.
+    ///
+    /// With the fused path on, the loop goes page segment by page segment
+    /// (DESIGN.md §16, "Line runs"): a segment's first line takes
+    /// [`Kernel::data_ref`], which reloads, faults and kills as usual; the
+    /// rest of the segment, up to the nearer page end of the streams, is
+    /// one [`Machine::fused_line_run`]. A run that bails leaves the next
+    /// line to [`Kernel::data_ref`] again.
+    pub(crate) fn copy_lines<const N: usize>(
+        &mut self,
+        streams: [LineStream; N],
+        len: u32,
+        charge: Option<Cycles>,
+    ) -> KResult<()> {
+        let at = |off: u32| {
+            streams.map(|s| LineStream {
+                ea: EffectiveAddress(s.ea.0 + off),
+                ..s
+            })
+        };
         let mut off = 0;
         while off < len {
-            self.data_ref(EffectiveAddress(ea + off), write)?;
-            off += line;
+            let first = at(off);
+            for s in first {
+                self.data_ref(s.ea, s.write)?;
+            }
+            if let Some(c) = charge {
+                self.machine.charge(c);
+            }
+            off += LINE_RUN_STRIDE;
+            if off >= len || !self.fastpath_ok() {
+                continue;
+            }
+            // The lines after the first that stay in every stream's page.
+            let in_page = first
+                .iter()
+                .map(|s| (PAGE_SIZE - 1 - (s.ea.0 & (PAGE_SIZE - 1))) / LINE_RUN_STRIDE)
+                .min()
+                .unwrap_or(0);
+            let lines = in_page.min((len - off).div_ceil(LINE_RUN_STRIDE));
+            let rest = at(off);
+            let run = if self.check.is_none() {
+                self.machine
+                    .fused_line_run(rest, lines, charge, |_, _, _| {})
+            } else {
+                self.audited_line_run(rest, lines, charge)
+            };
+            if run.is_some() {
+                off += lines * LINE_RUN_STRIDE;
+            }
         }
-        Ok(self.machine.cycles - start)
+        Ok(())
     }
 
     /// Convenience: write `len` bytes of user memory at `ea`.

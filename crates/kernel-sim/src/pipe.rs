@@ -1,6 +1,7 @@
 //! Kernel pipes.
 
-use ppc_mmu::addr::{PhysAddr, PAGE_SIZE};
+use ppc_machine::LineStream;
+use ppc_mmu::addr::{EffectiveAddress, PhysAddr, PAGE_SIZE};
 
 use crate::errors::KResult;
 use crate::kernel::Kernel;
@@ -194,25 +195,19 @@ impl Kernel {
         bytes: u32,
         to_kernel: bool,
     ) -> KResult<()> {
+        let user = EffectiveAddress(user_ea);
+        let kernel = pa_to_kva(kernel_pa);
+        let streams = if to_kernel {
+            [(user, false), (kernel, true)]
+        } else {
+            [(kernel, false), (user, true)]
+        }
+        .map(|(ea, write)| LineStream { ea, write });
         let copies = self.paths.pipe_copies.max(1);
         for _ in 0..copies {
-            let line = 32;
-            let mut off = 0;
-            while off < bytes {
-                let u = ppc_mmu::addr::EffectiveAddress(user_ea + off);
-                let k = pa_to_kva(kernel_pa + off);
-                if to_kernel {
-                    self.data_ref(u, false)?;
-                    self.data_ref(k, true)?;
-                } else {
-                    self.data_ref(k, false)?;
-                    self.data_ref(u, true)?;
-                }
-                // The word-copy loop: the remaining loads/stores of the
-                // line hit the L1; charge their pipeline work.
-                self.machine.charge(10);
-                off += line;
-            }
+            // The word-copy loop: the remaining loads/stores of the line
+            // hit the L1; charge their pipeline work.
+            self.copy_lines(streams, bytes, Some(10))?;
         }
         Ok(())
     }

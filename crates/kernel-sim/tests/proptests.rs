@@ -660,3 +660,81 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    /// Line runs (DESIGN.md §16) are a pure host-side encoding choice:
+    /// random `sys_read`s, pipe transfers and user reads and writes — at
+    /// random file offsets and lengths, on user buffers that are not
+    /// line-aligned and cross pages, some not yet faulted in, some made
+    /// copy-on-write by a `fork` — give the same outcomes, cycles,
+    /// `KernelStats`, `MonitorSnapshot`, L2 stats, checker observations
+    /// and host-profiler span counts whether the copy loops run fused or
+    /// line by line on the layered path. Sampled over the 604 and the
+    /// hash-table 603, the BAT-mapped and the TLB-mapped kernel (whose
+    /// page-cache and pipe streams then go through the TLB), with the
+    /// checker on and off.
+    #[test]
+    fn line_runs_match_per_line_copies(
+        htab_603 in any::<bool>(),
+        optimized in any::<bool>(),
+        checked in any::<bool>(),
+        ops in proptest::collection::vec(
+            (0u8..5, 0u32..(3 * PAGE_SIZE), (1u32..(3 * PAGE_SIZE), 0u32..(2 * PAGE_SIZE))),
+            1..10,
+        ),
+    ) {
+        use kernel_sim::hostprof;
+        use kernel_sim::CheckConfig;
+
+        let run = |fused: bool| {
+            let machine = if htab_603 {
+                MachineConfig::ppc603_133()
+            } else {
+                MachineConfig::ppc604_133()
+            };
+            let mut cfg = if optimized {
+                KernelConfig::optimized()
+            } else {
+                KernelConfig::unoptimized()
+            };
+            cfg.htab_on_603 = htab_603;
+            cfg.fused = fused;
+            cfg.check = checked.then(CheckConfig::full);
+            let mut k = Kernel::boot(machine, cfg);
+            let file = k.create_file(6 * PAGE_SIZE).unwrap();
+            let pipe = k.pipe_create().unwrap();
+            // Two 24-page processes with only their first four pages
+            // resident: longer copies demand-fault mid-copy.
+            let [w, r] = [0; 2].map(|_| {
+                let pid = k.spawn_process(24).unwrap();
+                k.switch_to(pid);
+                k.prefault(USER_BASE, 4).unwrap();
+                pid
+            });
+            hostprof::take_thread_spans();
+            let mut outcomes = Vec::new();
+            for &(op, offset, (len, skew)) in &ops {
+                let buf = USER_BASE + skew;
+                k.switch_to(w);
+                let out = match op {
+                    0 => k.sys_read(file, offset, buf, len).map(u64::from),
+                    1 => k.pipe_transfer(pipe, w, r, buf, USER_BASE + offset, len).map(|()| 0),
+                    2 => k.user_read(buf, len),
+                    3 => k.user_write(buf, len),
+                    // Read-only copy-on-write pages under the next stores.
+                    _ => k.sys_fork().map(u64::from),
+                };
+                outcomes.push(out);
+            }
+            let spans = hostprof::take_thread_spans();
+            let l2 = k.machine.mem.l2.as_ref().map(|c| *c.stats());
+            let observed = k.check.as_ref().map(|c| c.checked_observations);
+            (outcomes, k.stats_snapshot(), l2, observed, spans)
+        };
+        hostprof::arm();
+        let (fused, layered) = (run(true), run(false));
+        hostprof::disarm();
+        prop_assert!(fused.4.iter().sum::<u64>() > 0, "the profiler counted nothing");
+        prop_assert_eq!(fused, layered);
+    }
+}

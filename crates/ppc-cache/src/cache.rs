@@ -85,6 +85,9 @@ pub struct Cache {
     tick: u64,
     set_shift: u32,
     set_mask: u32,
+    /// `set_shift` plus the set-index width: the shift that leaves the tag.
+    /// Fixed at construction, so a probe does no popcount.
+    tag_shift: u32,
 }
 
 /// Tag sentinel for an invalid way (see [`Cache::tags`]).
@@ -103,6 +106,7 @@ impl Cache {
         let tags = vec![INVALID_TAG; lines.len()].into_boxed_slice();
         let set_shift = cfg.line_bytes.trailing_zeros();
         let set_mask = cfg.num_sets() - 1;
+        let tag_shift = set_shift + set_mask.count_ones();
         Self {
             cfg,
             lines,
@@ -112,6 +116,7 @@ impl Cache {
             tick: 0,
             set_shift,
             set_mask,
+            tag_shift,
         }
     }
 
@@ -133,7 +138,7 @@ impl Cache {
     #[inline]
     fn index(&self, addr: PhysAddr) -> (usize, u32) {
         let set = (addr >> self.set_shift) & self.set_mask;
-        let tag = addr >> (self.set_shift + self.set_mask.count_ones());
+        let tag = addr >> self.tag_shift;
         (set as usize, tag)
     }
 
@@ -255,10 +260,8 @@ impl Cache {
         let line = &mut self.lines[idx];
         let evicted = line.valid;
         let writeback = line.valid && line.dirty;
-        let victim_pa = writeback.then(|| {
-            (line.tag << (self.set_shift + self.set_mask.count_ones()))
-                | ((set as u32) << self.set_shift)
-        });
+        let victim_pa =
+            writeback.then(|| (line.tag << self.tag_shift) | ((set as u32) << self.set_shift));
         if evicted {
             self.stats.evictions += 1;
         }

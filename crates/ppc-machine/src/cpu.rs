@@ -46,6 +46,31 @@ pub enum FusedHit {
     },
 }
 
+/// Bytes between consecutive lines of a [`Machine::fused_line_run`]: the
+/// kernel's copy loops make one reference per 32-byte line on each side.
+pub const LINE_RUN_STRIDE: u32 = 32;
+
+/// One reference stream of a [`Machine::fused_line_run`]: the effective
+/// address of a line and whether the stream stores. A run takes the first
+/// line's; its audit hook is handed the line's own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LineStream {
+    /// Effective address of the reference.
+    pub ea: EffectiveAddress,
+    /// Whether the reference is a store.
+    pub write: bool,
+}
+
+/// A fused data reference's translation, peeked but not yet committed
+/// (for a line run, resolved once for the whole run).
+#[derive(Debug, Clone, Copy)]
+struct DataTranslation {
+    /// Physical address of the reference (of a run's first line).
+    pa: PhysAddr,
+    /// The TLB slot and entry that hit, or `None` for a BAT match.
+    tlb: Option<(usize, TlbEntry)>,
+}
+
 /// What a TLB-miss reload found, reported by the OS layer back to the
 /// experiment harness for counting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -229,43 +254,141 @@ impl Machine {
         if self.scale_num != self.scale_den {
             return None;
         }
-        let pa = match self.mmu.bats.peek_data(ea) {
-            Some((pa, cached)) => {
-                if !cached {
-                    return None;
-                }
-                self.mmu.bats.dbat_hits += 1;
-                audit(self, FusedHit::Bat { pa, cached });
-                pa
+        let t = self.peek_fused_data(ea, write)?;
+        let hit = self.commit_fused_data(t.tlb, t.pa);
+        audit(self, hit);
+        match self.fused_data_hit(t.pa, write) {
+            Some(c) => {
+                ppc_mmu::host::bulk(1, 1, 1);
+                Some(c)
             }
+            None => Some(self.fused_data_miss(t.pa, write)),
+        }
+    }
+
+    /// The translation half of the fused data path: a BAT match or a TLB
+    /// hit that is cacheable and, for a store, writable — peeked, so
+    /// `None` leaves every counter as it was.
+    #[inline(always)]
+    fn peek_fused_data(&self, ea: EffectiveAddress, write: bool) -> Option<DataTranslation> {
+        match self.mmu.bats.peek_data(ea) {
+            Some((pa, cached)) => cached.then_some(DataTranslation { pa, tlb: None }),
             None => {
                 let va = self.mmu.segments.translate(ea);
                 let (idx, e) = self.mmu.dtlb.peek(va.vsid, va.page_index)?;
                 if !e.cached || (write && !e.writable) {
                     return None;
                 }
-                self.mmu.dtlb.commit_hit(idx);
-                audit(self, FusedHit::Tlb { entry: e });
-                phys(e.rpn, va.offset)
+                Some(DataTranslation {
+                    pa: phys(e.rpn, va.offset),
+                    tlb: Some((idx, e)),
+                })
             }
-        };
+        }
+    }
+
+    /// Commits a peeked translation for the reference at `pa` — the BAT
+    /// hit counter, or the TLB hit — and returns the hit for the audit.
+    #[inline(always)]
+    fn commit_fused_data(&mut self, tlb: Option<(usize, TlbEntry)>, pa: PhysAddr) -> FusedHit {
+        match tlb {
+            None => {
+                self.mmu.bats.dbat_hits += 1;
+                FusedHit::Bat { pa, cached: true }
+            }
+            Some((idx, entry)) => {
+                self.mmu.dtlb.commit_hit(idx);
+                FusedHit::Tlb { entry }
+            }
+        }
+    }
+
+    /// The L1 half of the fused data path: on a hit, commits the hit and
+    /// its cycles (one of pipeline work plus the hit, plus a bus beat for a
+    /// write-through store) and returns them; on a miss, `None` with the
+    /// cache untouched. Leaves the span counts to the caller.
+    #[inline(always)]
+    fn fused_data_hit(&mut self, pa: PhysAddr, write: bool) -> Option<Cycles> {
         let kind = if write {
             AccessKind::Write
         } else {
             AccessKind::Read
         };
-        match self.mem.dcache.fast_hit(pa, kind) {
-            Some(wrote_through) => {
-                let mut cost = self.mem.dcache.config().hit_cycles;
-                if wrote_through {
-                    cost += self.mem.bus.write_beat;
-                }
-                ppc_mmu::host::bulk(1, 1, 1);
-                self.cycles += 1 + cost;
-                Some(1 + cost)
-            }
-            None => Some(self.fused_data_miss(pa, write)),
+        let wrote_through = self.mem.dcache.fast_hit(pa, kind)?;
+        let mut cost = 1 + self.mem.dcache.config().hit_cycles;
+        if wrote_through {
+            cost += self.mem.bus.write_beat;
         }
+        self.cycles += cost;
+        Some(cost)
+    }
+
+    /// A run of `lines` line references, [`LINE_RUN_STRIDE`] bytes apart,
+    /// on one or two streams that each stay within one page: the copy loops'
+    /// inner loop (DESIGN.md §16, "Line runs"). Each stream's BAT/TLB
+    /// translation is resolved once, up front; every line then commits, per
+    /// stream in order, exactly what [`Machine::fused_data_ref`] commits —
+    /// the BAT or TLB hit, `audit`, the cache hit or the real miss tail —
+    /// and then the per-line `charge`, if any, as [`Machine::charge`] would.
+    ///
+    /// The bail contract is the fused path's: `None`, with **no** state
+    /// mutated, when the charge scale is engaged or any stream's
+    /// translation is missing, uncached or read-only under a store. A
+    /// translation cannot change mid-run — hits and cache fills never
+    /// reload or evict a TLB entry — so a run that starts never bails.
+    /// The span counts of its hit lines and charges are reported in one
+    /// `bulk` call at the end; they are order-independent sums.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a stream's last line lies in another page than its first.
+    #[inline(never)]
+    pub fn fused_line_run<const N: usize>(
+        &mut self,
+        streams: [LineStream; N],
+        lines: u32,
+        charge: Option<Cycles>,
+        mut audit: impl FnMut(&Machine, LineStream, FusedHit),
+    ) -> Option<Cycles> {
+        if self.scale_num != self.scale_den {
+            return None;
+        }
+        if lines == 0 {
+            return Some(0);
+        }
+        let span = (lines - 1) * LINE_RUN_STRIDE;
+        let mut resolved = [DataTranslation { pa: 0, tlb: None }; N];
+        for (t, s) in resolved.iter_mut().zip(&streams) {
+            assert!(
+                (s.ea.0 & (PAGE_SIZE - 1)) + span < PAGE_SIZE,
+                "a line run must not cross a page"
+            );
+            *t = self.peek_fused_data(s.ea, s.write)?;
+        }
+        let start = self.cycles;
+        let mut hit_lines: u64 = 0;
+        for d in (0..lines).map(|j| j * LINE_RUN_STRIDE) {
+            for (s, t) in streams.iter().zip(&resolved) {
+                let pa = t.pa + d;
+                let hit = self.commit_fused_data(t.tlb, pa);
+                let line = LineStream {
+                    ea: EffectiveAddress(s.ea.0 + d),
+                    write: s.write,
+                };
+                audit(self, line, hit);
+                if self.fused_data_hit(pa, s.write).is_some() {
+                    hit_lines += 1;
+                } else {
+                    self.fused_data_miss(pa, s.write);
+                }
+            }
+            if let Some(c) = charge {
+                self.cycles += c;
+            }
+        }
+        let charges = if charge.is_some() { lines as u64 } else { 0 };
+        ppc_mmu::host::bulk(hit_lines, hit_lines, hit_lines + charges);
+        Some(self.cycles - start)
     }
 
     /// The cache-miss tail of [`Machine::fused_data_ref`]. Translation is
@@ -653,6 +776,112 @@ mod tests {
             .fused_exec_code(EffectiveAddress(3 << 12), 4, |_, _| {})
             .is_none());
         assert_eq!(m.snapshot(), before);
+    }
+
+    /// `resident` plus a second resident page, 5 (rpn 0x50), whose
+    /// writability is given.
+    fn two_resident(cfg: MachineConfig, page5_writable: bool) -> Machine {
+        let mut m = resident(cfg);
+        m.mmu.reload(
+            ppc_mmu::translate::AccessType::DataRead,
+            TlbEntry {
+                vsid: ppc_mmu::addr::Vsid::new(0),
+                page_index: 5,
+                rpn: 0x50,
+                cached: true,
+                writable: page5_writable,
+            },
+        );
+        m
+    }
+
+    /// Two streams of a page-3 to page-5 copy, neither line-aligned.
+    fn copy_streams() -> [LineStream; 2] {
+        [
+            LineStream {
+                ea: EffectiveAddress(3 << 12 | 0x10),
+                write: false,
+            },
+            LineStream {
+                ea: EffectiveAddress(5 << 12 | 0x44),
+                write: true,
+            },
+        ]
+    }
+
+    #[test]
+    fn fused_line_run_matches_per_line_fused_refs() {
+        let lines = 40;
+        let mut f = two_resident(MachineConfig::ppc604_133(), true);
+        let mut l = two_resident(MachineConfig::ppc604_133(), true);
+        // Cold (every line misses) and then warm (every line hits).
+        for _ in 0..2 {
+            let mut audited = Vec::new();
+            let c0 = f.cycles;
+            let cf = f
+                .fused_line_run(copy_streams(), lines, Some(10), |m, line, hit| {
+                    audited.push((line, hit, m.cycles))
+                })
+                .expect("resident pages must fuse");
+            assert_eq!(cf, f.cycles - c0, "the returned cost is the clock delta");
+            let mut expected = Vec::new();
+            for j in 0..lines {
+                for s in copy_streams() {
+                    let line = LineStream {
+                        ea: EffectiveAddress(s.ea.0 + j * LINE_RUN_STRIDE),
+                        ..s
+                    };
+                    l.fused_data_ref(line.ea, line.write, |m, hit| {
+                        expected.push((line, hit, m.cycles))
+                    })
+                    .expect("resident pages must fuse");
+                }
+                l.charge(10);
+            }
+            assert_eq!(audited, expected, "audits moved");
+            assert_eq!(f.cycles, l.cycles);
+            assert_eq!(f.snapshot(), l.snapshot());
+            assert_eq!(
+                f.mem.l2.as_ref().map(|c| *c.stats()),
+                l.mem.l2.as_ref().map(|c| *c.stats())
+            );
+        }
+    }
+
+    #[test]
+    fn fused_line_run_bails_are_stat_neutral() {
+        let mut audited = false;
+        // The second stream's page is not resident.
+        let mut m = resident(MachineConfig::ppc604_133());
+        let before = m.snapshot();
+        assert!(m
+            .fused_line_run(copy_streams(), 4, Some(10), |_, _, _| audited = true)
+            .is_none());
+        assert_eq!(m.snapshot(), before);
+        // A store through a read-only entry.
+        let mut m = two_resident(MachineConfig::ppc604_133(), false);
+        let before = m.snapshot();
+        assert!(m
+            .fused_line_run(copy_streams(), 4, Some(10), |_, _, _| audited = true)
+            .is_none());
+        assert_eq!(m.snapshot(), before);
+        // An engaged charge scale.
+        let mut m = two_resident(MachineConfig::ppc604_133(), true);
+        m.set_scale(1, 2);
+        let before = m.snapshot();
+        assert!(m
+            .fused_line_run(copy_streams(), 4, Some(10), |_, _, _| audited = true)
+            .is_none());
+        assert_eq!(m.snapshot(), before);
+        assert!(!audited, "a bail is not audited");
+    }
+
+    #[test]
+    #[should_panic(expected = "must not cross a page")]
+    fn fused_line_run_rejects_a_page_crossing() {
+        let mut m = two_resident(MachineConfig::ppc604_133(), true);
+        // The store stream starts at 0x44: 126 lines fit, a 127th crosses.
+        m.fused_line_run(copy_streams(), 127, None, |_, _, _| {});
     }
 
     #[test]

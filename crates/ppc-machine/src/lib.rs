@@ -26,7 +26,7 @@ pub mod pmu;
 pub mod time;
 
 pub use config::{CpuModel, MachineConfig};
-pub use cpu::{FusedHit, Machine, MemRefOutcome, ReloadOutcome};
+pub use cpu::{FusedHit, LineStream, Machine, MemRefOutcome, ReloadOutcome, LINE_RUN_STRIDE};
 pub use exceptions::ExceptionCosts;
 pub use monitor::MonitorSnapshot;
 pub use pmu::{Mmcr0, PmcEvent, Pmu, PMC_NEGATIVE};
